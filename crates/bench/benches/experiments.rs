@@ -1,9 +1,14 @@
 //! End-to-end benchmarks: the wall-clock cost of regenerating each class
 //! of paper artifact (in fast mode, so the full suite stays minutes, not
 //! hours).
+//!
+//! `e2e/suite_fast` renders all 32 ids the way `icm-experiments all
+//! --fast` does, running each study once for all its views;
+//! `e2e/suite_fast/per_id` renders them with one `Experiment::run_full`
+//! per id, which runs a study again for every view of it.
 
 use icm_bench::Bench;
-use icm_experiments::{ExpConfig, Experiment};
+use icm_experiments::{run_views, ExpConfig, Experiment};
 
 fn fast_cfg() -> ExpConfig {
     ExpConfig {
@@ -25,4 +30,10 @@ fn main() {
             exp.run(&fast_cfg()).expect("runs")
         });
     }
+    b.bench("e2e/suite_fast", || {
+        run_views(&Experiment::ALL, &fast_cfg()).expect("runs")
+    });
+    b.bench("e2e/suite_fast/per_id", || {
+        Experiment::ALL.map(|exp| exp.run_full(&fast_cfg()).expect("runs"))
+    });
 }

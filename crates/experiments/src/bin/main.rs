@@ -7,6 +7,10 @@
 //! icm-experiments list
 //! ```
 //!
+//! Adjacent ids that view one study (`fig12 table6 fig13`, say) render
+//! from one run of it, and `all` lists each study's views together, so
+//! it runs every study once.
+//!
 //! `--trace FILE` appends one JSONL event per progress message (plus an
 //! `experiment` span per run) for `icm-trace`; `--quiet` silences the
 //! stderr progress lines without touching the result tables on stdout.
@@ -36,7 +40,7 @@
 use std::process::ExitCode;
 
 use icm_experiments::results::ResultsDoc;
-use icm_experiments::{endurance, ExpConfig, Experiment};
+use icm_experiments::{endurance, study_runs, ExpConfig, Experiment, Study};
 use icm_json::fs::atomic_write;
 use icm_obs::{JsonlSink, Telemetry, TelemetryConfig, TelemetrySink, Tracer, Value};
 
@@ -344,83 +348,93 @@ fn main() -> ExitCode {
     };
 
     let mut results = ResultsDoc::new(cfg.seed, cfg.fast);
-    for exp in selected {
-        if !quiet {
-            eprintln!(
-                "[icm] running {} (seed {}, fast {})",
-                exp.id(),
-                cfg.seed,
-                cfg.fast
-            );
-        }
-        if savestate {
-            // Savestate mode skips the per-experiment span: a resumed
-            // run cannot close a span the killed process opened, and
-            // the kill/resume trace must be the byte-exact suffix of an
-            // uninterrupted savestate run.
-            let checkpoint = checkpoint_dir.as_deref().zip(checkpoint_every);
-            match endurance::drive(
-                &cfg,
-                &tracer,
-                resume_snapshot.take(),
-                checkpoint,
-                kill_after,
-                trace_path.as_deref(),
-            ) {
-                Ok(result) => {
-                    use icm_json::ToJson;
-                    println!("{}", endurance::render(&result));
-                    results.push(exp.id(), result.to_json());
-                }
-                Err(err) => {
-                    eprintln!("{}: {err}", exp.id());
-                    return ExitCode::FAILURE;
-                }
+    // Each run of adjacent ids that view one study runs the study once;
+    // its result is dropped after the run's last view.
+    for run in study_runs(&selected) {
+        let mut study: Option<Study> = None;
+        for &exp in run {
+            if !quiet {
+                eprintln!(
+                    "[icm] running {} (seed {}, fast {})",
+                    exp.id(),
+                    cfg.seed,
+                    cfg.fast
+                );
             }
-        } else {
-            let span = tracer.span(
-                "experiment",
-                &[
-                    ("id", exp.id().into()),
-                    ("seed", cfg.seed.into()),
-                    ("fast", cfg.fast.into()),
-                ],
-            );
-            match exp.run_full_traced(&cfg, &tracer) {
-                Ok((text, data)) => {
-                    span.end_with(&[("id", exp.id().into())]);
-                    println!("{text}");
-                    results.push(exp.id(), data);
+            if savestate {
+                // Savestate mode skips the per-experiment span: a resumed
+                // run cannot close a span the killed process opened, and
+                // the kill/resume trace must be the byte-exact suffix of
+                // an uninterrupted savestate run.
+                let checkpoint = checkpoint_dir.as_deref().zip(checkpoint_every);
+                match endurance::drive(
+                    &cfg,
+                    &tracer,
+                    resume_snapshot.take(),
+                    checkpoint,
+                    kill_after,
+                    trace_path.as_deref(),
+                ) {
+                    Ok(result) => {
+                        use icm_json::ToJson;
+                        println!("{}", endurance::render(&result));
+                        results.push(exp.id(), result.to_json());
+                    }
+                    Err(err) => {
+                        eprintln!("{}: {err}", exp.id());
+                        return ExitCode::FAILURE;
+                    }
                 }
-                Err(err) => {
-                    eprintln!("{}: {err}", exp.id());
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        if let Some(dir) = &json_dir {
-            if let Err(err) = std::fs::create_dir_all(dir) {
-                eprintln!("cannot create {}: {err}", dir.display());
-                return ExitCode::FAILURE;
-            }
-            let path = dir.join(format!("{}.json", exp.id()));
-            let Some(data) = results.get(exp.id()) else {
-                eprintln!("{}: result vanished from the results document", exp.id());
-                return ExitCode::FAILURE;
-            };
-            let text = icm_json::to_string_pretty(data);
-            match atomic_write(&path, text.as_bytes()) {
-                Ok(()) => reporter.say(
-                    "json_export",
+            } else {
+                let span = tracer.span(
+                    "experiment",
                     &[
                         ("id", exp.id().into()),
-                        ("path", path.display().to_string().into()),
+                        ("seed", cfg.seed.into()),
+                        ("fast", cfg.fast.into()),
                     ],
-                    format!("wrote {}", path.display()),
-                ),
-                Err(err) => {
-                    eprintln!("{}: JSON export failed: {err}", exp.id());
+                );
+                if study.is_none() {
+                    match exp.run_study(&cfg, &tracer) {
+                        Ok(ran) => study = Some(ran),
+                        Err(err) => {
+                            eprintln!("{}: {err}", exp.id());
+                            return ExitCode::FAILURE;
+                        }
+                    }
+                }
+                let (text, data) = study
+                    .as_ref()
+                    .and_then(|ran| ran.view(exp))
+                    .expect("a run views one study");
+                span.end_with(&[("id", exp.id().into())]);
+                println!("{text}");
+                results.push(exp.id(), data);
+            }
+            if let Some(dir) = &json_dir {
+                if let Err(err) = std::fs::create_dir_all(dir) {
+                    eprintln!("cannot create {}: {err}", dir.display());
                     return ExitCode::FAILURE;
+                }
+                let path = dir.join(format!("{}.json", exp.id()));
+                let Some(data) = results.get(exp.id()) else {
+                    eprintln!("{}: result vanished from the results document", exp.id());
+                    return ExitCode::FAILURE;
+                };
+                let text = icm_json::to_string_pretty(data);
+                match atomic_write(&path, text.as_bytes()) {
+                    Ok(()) => reporter.say(
+                        "json_export",
+                        &[
+                            ("id", exp.id().into()),
+                            ("path", path.display().to_string().into()),
+                        ],
+                        format!("wrote {}", path.display()),
+                    ),
+                    Err(err) => {
+                        eprintln!("{}: JSON export failed: {err}", exp.id());
+                        return ExitCode::FAILURE;
+                    }
                 }
             }
         }

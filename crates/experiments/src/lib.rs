@@ -4,7 +4,13 @@
 //! Each experiment is a module with a `run(&ExpConfig) -> Result<R, _>`
 //! function returning serializable structured data, and one or more
 //! `render*` functions producing the text table printed by the
-//! `icm-experiments` binary:
+//! `icm-experiments` binary.
+//!
+//! Several ids are views of one study: a table row in the index below
+//! that lists more than one id names one computation. The study runs
+//! once ([`Experiment::run_study`]) and each view renders from its
+//! result ([`Study::view`]); the binary and [`run_views`] run a study
+//! once per run of adjacent selected views, so `all` runs each once.
 //!
 //! ```text
 //! cargo run -p icm-experiments --release -- fig2
@@ -64,6 +70,9 @@ pub mod trace;
 pub mod tracediff;
 
 pub use context::{ExpConfig, ExpError};
+
+use icm_json::{Json, ToJson};
+use icm_obs::Tracer;
 
 /// Every runnable experiment id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -215,168 +224,104 @@ impl Experiment {
         Experiment::ALL.into_iter().find(|e| e.id() == id)
     }
 
-    /// Runs the experiment once and returns both its rendered text
-    /// table and its structured JSON result, so callers that want both
-    /// (the binary's `--results`/`--json` exports) pay for one run.
-    ///
-    /// Experiments sharing a computation (e.g. `fig4`/`table2`) rerun
-    /// it; determinism makes the shared view consistent.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the experiment's failure.
-    pub fn run_full(&self, cfg: &ExpConfig) -> Result<(String, icm_json::Json), ExpError> {
-        self.run_full_traced(cfg, &icm_obs::Tracer::disabled())
+    /// The study this id is a view of, named by the study's first view
+    /// in [`ALL`](Self::ALL). Ids that render one computation (`fig4`
+    /// and `table2`, say) share a lead; every other id leads itself.
+    pub fn lead(&self) -> Experiment {
+        match self {
+            Experiment::Table2 => Experiment::Fig4,
+            Experiment::Fig6 | Experiment::Fig7 => Experiment::Table3,
+            Experiment::Fig9 => Experiment::Fig8,
+            Experiment::Table5 => Experiment::Fig11,
+            Experiment::Table6 | Experiment::Fig13 => Experiment::Fig12,
+            exp => *exp,
+        }
     }
 
-    /// [`run_full`](Self::run_full) with an event sink: experiments that
-    /// emit structured events mid-run (currently `recovery`, whose
-    /// supervisory loop traces detections and actions) write them into
-    /// `tracer`; the rest ignore it. This is what the binary's `--trace`
-    /// flag threads through.
+    /// Runs the study this id is a view of. Every view of the study
+    /// then renders from the one result with [`Study::view`].
+    ///
+    /// Studies that emit structured events mid-run (`recovery`, whose
+    /// supervisory loop traces detections and actions, and `endurance`)
+    /// write them into `tracer`; the rest ignore it. This is what the
+    /// binary's `--trace` flag threads through.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the study's failure.
+    pub fn run_study(&self, cfg: &ExpConfig, tracer: &Tracer) -> Result<Study, ExpError> {
+        let lead = self.lead();
+        let (text, json) = match lead {
+            Experiment::Fig4 => return Ok(Study::Fig4(fig4::run(cfg)?)),
+            Experiment::Table3 => return Ok(Study::Table3(table3::run(cfg)?)),
+            Experiment::Fig8 => return Ok(Study::Fig8(fig8::run(cfg)?)),
+            Experiment::Fig11 => return Ok(Study::Fig11(fig11::run(cfg)?)),
+            Experiment::Fig12 => return Ok(Study::Ec2(ec2::run(cfg)?)),
+            Experiment::Fig2 => rendered(&fig2::run(cfg)?, fig2::render),
+            Experiment::Fig3 => rendered(&fig3::run(cfg)?, fig3::render),
+            Experiment::Table4 => rendered(&table4::run(cfg)?, table4::render),
+            Experiment::Fig10 => rendered(&fig10::run(cfg)?, fig10::render),
+            Experiment::AblationInterp => {
+                rendered(&ablations::run_interp(cfg)?, ablations::render_interp)
+            }
+            Experiment::AblationSa => rendered(&ablations::run_sa(cfg)?, ablations::render_sa),
+            Experiment::AblationSamples => {
+                rendered(&ablations::run_samples(cfg)?, ablations::render_samples)
+            }
+            Experiment::AblationMultiApp => {
+                rendered(&ablations::run_multiapp(cfg)?, ablations::render_multiapp)
+            }
+            Experiment::ExtOnline => {
+                rendered(&extensions::run_online(cfg)?, extensions::render_online)
+            }
+            Experiment::ExtMultiApp => {
+                rendered(&extensions::run_multiapp(cfg)?, extensions::render_multiapp)
+            }
+            Experiment::ExtEnergy => {
+                rendered(&extensions::run_energy(cfg)?, extensions::render_energy)
+            }
+            Experiment::ExtPhases => {
+                rendered(&extensions::run_phases(cfg)?, extensions::render_phases)
+            }
+            Experiment::ExtTransfer => {
+                rendered(&extensions::run_transfer(cfg)?, extensions::render_transfer)
+            }
+            Experiment::ExtScale => {
+                rendered(&extensions::run_scale(cfg)?, extensions::render_scale)
+            }
+            Experiment::ExtIoChannel => rendered(
+                &extensions::run_iochannel(cfg)?,
+                extensions::render_iochannel,
+            ),
+            Experiment::Robustness => rendered(&robustness::run(cfg)?, robustness::render),
+            Experiment::Recovery => rendered(&recovery::run_traced(cfg, tracer)?, recovery::render),
+            Experiment::Endurance => {
+                rendered(&endurance::run_traced(cfg, tracer)?, endurance::render)
+            }
+            Experiment::Fork => rendered(&endurance::run_fork(cfg)?, endurance::render_fork),
+            Experiment::Serve => rendered(&serve::run(cfg)?, serve::render),
+            Experiment::Table2
+            | Experiment::Fig6
+            | Experiment::Fig7
+            | Experiment::Fig9
+            | Experiment::Table5
+            | Experiment::Table6
+            | Experiment::Fig13 => unreachable!("`lead` maps a view to its study's first view"),
+        };
+        Ok(Study::Single(lead, text, json))
+    }
+
+    /// Runs the experiment's study, without tracing, and renders this
+    /// one view of it: its text table and its structured JSON result,
+    /// so callers that want both pay for one run. [`run_views`] and the
+    /// binary render several adjacent views of one study from one run.
     ///
     /// # Errors
     ///
     /// Propagates the experiment's failure.
-    pub fn run_full_traced(
-        &self,
-        cfg: &ExpConfig,
-        tracer: &icm_obs::Tracer,
-    ) -> Result<(String, icm_json::Json), ExpError> {
-        use icm_json::ToJson;
-        fn both<T: ToJson>(result: &T, text: String) -> (String, icm_json::Json) {
-            (text, result.to_json())
-        }
-        Ok(match self {
-            Experiment::Fig2 => {
-                let r = fig2::run(cfg)?;
-                both(&r, fig2::render(&r))
-            }
-            Experiment::Fig3 => {
-                let r = fig3::run(cfg)?;
-                both(&r, fig3::render(&r))
-            }
-            Experiment::Fig4 => {
-                let r = fig4::run(cfg)?;
-                both(&r, fig4::render_fig4(&r))
-            }
-            Experiment::Table2 => {
-                let r = fig4::run(cfg)?;
-                both(&r, fig4::render_table2(&r))
-            }
-            Experiment::Table3 => {
-                let r = table3::run(cfg)?;
-                both(&r, table3::render_table3(&r))
-            }
-            Experiment::Fig6 => {
-                let r = table3::run(cfg)?;
-                both(&r, table3::render_fig6(&r))
-            }
-            Experiment::Fig7 => {
-                let r = table3::run(cfg)?;
-                both(&r, table3::render_fig7(&r))
-            }
-            Experiment::Table4 => {
-                let r = table4::run(cfg)?;
-                both(&r, table4::render(&r))
-            }
-            Experiment::Fig8 => {
-                let r = fig8::run(cfg)?;
-                both(&r, fig8::render_fig8(&r))
-            }
-            Experiment::Fig9 => {
-                let r = fig8::run(cfg)?;
-                both(&r, fig8::render_fig9(&r))
-            }
-            Experiment::Fig10 => {
-                let r = fig10::run(cfg)?;
-                both(&r, fig10::render(&r))
-            }
-            Experiment::Fig11 => {
-                let r = fig11::run(cfg)?;
-                both(&r, fig11::render_fig11(&r))
-            }
-            Experiment::Table5 => {
-                let r = fig11::run(cfg)?;
-                both(&r, fig11::render_table5(&r))
-            }
-            Experiment::Fig12 => {
-                let r = ec2::run(cfg)?;
-                both(&r, ec2::render_fig12(&r))
-            }
-            Experiment::Table6 => {
-                let r = ec2::run(cfg)?;
-                both(&r, ec2::render_table6(&r))
-            }
-            Experiment::Fig13 => {
-                let r = ec2::run(cfg)?;
-                both(&r, ec2::render_fig13(&r))
-            }
-            Experiment::AblationInterp => {
-                let r = ablations::run_interp(cfg)?;
-                both(&r, ablations::render_interp(&r))
-            }
-            Experiment::AblationSa => {
-                let r = ablations::run_sa(cfg)?;
-                both(&r, ablations::render_sa(&r))
-            }
-            Experiment::AblationSamples => {
-                let r = ablations::run_samples(cfg)?;
-                both(&r, ablations::render_samples(&r))
-            }
-            Experiment::AblationMultiApp => {
-                let r = ablations::run_multiapp(cfg)?;
-                both(&r, ablations::render_multiapp(&r))
-            }
-            Experiment::ExtOnline => {
-                let r = extensions::run_online(cfg)?;
-                both(&r, extensions::render_online(&r))
-            }
-            Experiment::ExtMultiApp => {
-                let r = extensions::run_multiapp(cfg)?;
-                both(&r, extensions::render_multiapp(&r))
-            }
-            Experiment::ExtEnergy => {
-                let r = extensions::run_energy(cfg)?;
-                both(&r, extensions::render_energy(&r))
-            }
-            Experiment::ExtPhases => {
-                let r = extensions::run_phases(cfg)?;
-                both(&r, extensions::render_phases(&r))
-            }
-            Experiment::ExtTransfer => {
-                let r = extensions::run_transfer(cfg)?;
-                both(&r, extensions::render_transfer(&r))
-            }
-            Experiment::ExtScale => {
-                let r = extensions::run_scale(cfg)?;
-                both(&r, extensions::render_scale(&r))
-            }
-            Experiment::ExtIoChannel => {
-                let r = extensions::run_iochannel(cfg)?;
-                both(&r, extensions::render_iochannel(&r))
-            }
-            Experiment::Robustness => {
-                let r = robustness::run(cfg)?;
-                both(&r, robustness::render(&r))
-            }
-            Experiment::Recovery => {
-                let r = recovery::run_traced(cfg, tracer)?;
-                both(&r, recovery::render(&r))
-            }
-            Experiment::Endurance => {
-                let r = endurance::run_traced(cfg, tracer)?;
-                both(&r, endurance::render(&r))
-            }
-            Experiment::Fork => {
-                let r = endurance::run_fork(cfg)?;
-                both(&r, endurance::render_fork(&r))
-            }
-            Experiment::Serve => {
-                let r = serve::run(cfg)?;
-                both(&r, serve::render(&r))
-            }
-        })
+    pub fn run_full(&self, cfg: &ExpConfig) -> Result<(String, Json), ExpError> {
+        let study = self.run_study(cfg, &Tracer::disabled())?;
+        Ok(study.view(*self).expect("an id is a view of its own study"))
     }
 
     /// Runs the experiment and returns its structured result as JSON,
@@ -385,7 +330,7 @@ impl Experiment {
     /// # Errors
     ///
     /// Propagates the experiment's failure.
-    pub fn run_json(&self, cfg: &ExpConfig) -> Result<icm_json::Json, ExpError> {
+    pub fn run_json(&self, cfg: &ExpConfig) -> Result<Json, ExpError> {
         self.run_full(cfg).map(|(_, json)| json)
     }
 
@@ -397,6 +342,87 @@ impl Experiment {
     pub fn run(&self, cfg: &ExpConfig) -> Result<String, ExpError> {
         self.run_full(cfg).map(|(text, _)| text)
     }
+}
+
+/// One study's result: the computation that one or more experiment ids
+/// render views of. [`Experiment::run_study`] makes one;
+/// [`view`](Study::view) renders each of its views from it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Study {
+    /// `fig4` and `table2`: the heterogeneity policy study.
+    Fig4(fig4::Fig4Result),
+    /// `table3`, `fig6` and `fig7`: the profiling study.
+    Table3(table3::Table3Result),
+    /// `fig8` and `fig9`: the pairwise validation study.
+    Fig8(fig8::Fig8Result),
+    /// `fig11` and `table5`: the throughput placement study.
+    Fig11(fig11::Fig11Result),
+    /// `fig12`, `table6` and `fig13`: the EC2 study.
+    Ec2(ec2::Ec2Result),
+    /// A study with one view: its id, text table and JSON result,
+    /// rendered when it ran.
+    Single(Experiment, String, Json),
+}
+
+impl Study {
+    /// Renders view `exp` of this study: its text table and its JSON
+    /// result, which is the whole study's and so the same for every
+    /// view. `None` when `exp` is not a view of this study.
+    pub fn view(&self, exp: Experiment) -> Option<(String, Json)> {
+        Some(match (self, exp) {
+            (Study::Fig4(r), Experiment::Fig4) => rendered(r, fig4::render_fig4),
+            (Study::Fig4(r), Experiment::Table2) => rendered(r, fig4::render_table2),
+            (Study::Table3(r), Experiment::Table3) => rendered(r, table3::render_table3),
+            (Study::Table3(r), Experiment::Fig6) => rendered(r, table3::render_fig6),
+            (Study::Table3(r), Experiment::Fig7) => rendered(r, table3::render_fig7),
+            (Study::Fig8(r), Experiment::Fig8) => rendered(r, fig8::render_fig8),
+            (Study::Fig8(r), Experiment::Fig9) => rendered(r, fig8::render_fig9),
+            (Study::Fig11(r), Experiment::Fig11) => rendered(r, fig11::render_fig11),
+            (Study::Fig11(r), Experiment::Table5) => rendered(r, fig11::render_table5),
+            (Study::Ec2(r), Experiment::Fig12) => rendered(r, ec2::render_fig12),
+            (Study::Ec2(r), Experiment::Table6) => rendered(r, ec2::render_table6),
+            (Study::Ec2(r), Experiment::Fig13) => rendered(r, ec2::render_fig13),
+            (Study::Single(id, text, json), exp) if *id == exp => (text.clone(), json.clone()),
+            _ => return None,
+        })
+    }
+}
+
+/// One view: the text table `render` draws from `result`, and the
+/// result as JSON.
+fn rendered<T: ToJson>(result: &T, render: fn(&T) -> String) -> (String, Json) {
+    (render(result), result.to_json())
+}
+
+/// Splits `selected` into its runs of adjacent ids that view one study,
+/// in order. [`ALL`](Experiment::ALL) keeps each study's views
+/// adjacent, so it splits into one run per study.
+pub fn study_runs(selected: &[Experiment]) -> impl Iterator<Item = &[Experiment]> {
+    selected.chunk_by(|a, b| a.lead() == b.lead())
+}
+
+/// Renders `selected` in order, as `icm-experiments <id>...` does: each
+/// of its [`study_runs`] runs its study once, renders every view from
+/// that result and drops it after the last one. Returns each id with
+/// its text table and JSON result, equal to what
+/// [`Experiment::run_full`] gives for that id alone.
+///
+/// # Errors
+///
+/// Propagates the first failing study's error.
+pub fn run_views(
+    selected: &[Experiment],
+    cfg: &ExpConfig,
+) -> Result<Vec<(Experiment, String, Json)>, ExpError> {
+    let mut views = Vec::with_capacity(selected.len());
+    for run in study_runs(selected) {
+        let study = run[0].run_study(cfg, &Tracer::disabled())?;
+        for &exp in run {
+            let (text, json) = study.view(exp).expect("a run views one study");
+            views.push((exp, text, json));
+        }
+    }
+    Ok(views)
 }
 
 #[cfg(test)]
@@ -421,6 +447,41 @@ mod tests {
         assert!(value.get("rows").is_some(), "Fig2Result exposes rows");
         let text = icm_json::to_string(&value);
         assert!(text.contains("interfering_nodes"));
+    }
+
+    #[test]
+    fn every_id_maps_to_one_study_led_by_its_first_view() {
+        let position = |exp: Experiment| Experiment::ALL.iter().position(|e| *e == exp);
+        for exp in Experiment::ALL {
+            let lead = exp.lead();
+            assert_eq!(lead.lead(), lead, "{} leads another study", lead.id());
+            assert!(position(lead) <= position(exp), "{}", exp.id());
+        }
+    }
+
+    #[test]
+    fn all_keeps_each_studys_views_adjacent() {
+        let leads: Vec<Experiment> = study_runs(&Experiment::ALL).map(|run| run[0]).collect();
+        let mut distinct = leads.clone();
+        distinct.dedup();
+        assert_eq!(leads, distinct);
+        assert_eq!(
+            leads.len(),
+            Experiment::ALL.iter().filter(|e| e.lead() == **e).count(),
+            "`all` would run some study twice"
+        );
+        assert_eq!(leads.len(), 25);
+    }
+
+    #[test]
+    fn a_single_view_study_renders_only_its_own_id() {
+        let study = Study::Single(Experiment::Fig2, "table".to_owned(), Json::Null);
+        assert_eq!(
+            study.view(Experiment::Fig2),
+            Some(("table".to_owned(), Json::Null))
+        );
+        assert_eq!(study.view(Experiment::Fig3), None);
+        assert_eq!(study.view(Experiment::Fig4), None);
     }
 
     #[test]

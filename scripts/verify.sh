@@ -28,6 +28,22 @@ trap 'rm -rf "$SMOKE"' EXIT
 test -s "$SMOKE/report.html"
 echo "verify: report smoke OK"
 
+# Shared-study smoke: `table6 fig12` render from one EC2 study run,
+# while `fig13` ahead of `fig2` runs it on its own. Every id must still
+# export the JSON and print the table a single-id run of it does.
+./target/release/icm-experiments fig13 fig2 table6 fig12 --fast --quiet \
+    --json "$SMOKE/shared" > "$SMOKE/shared.txt"
+: > "$SMOKE/single.txt"
+for id in fig13 fig2 table6 fig12; do
+    ./target/release/icm-experiments "$id" --fast --quiet \
+        --json "$SMOKE/single" >> "$SMOKE/single.txt"
+    cmp "$SMOKE/shared/$id.json" "$SMOKE/single/$id.json" \
+        || { echo "verify: $id from a shared study diverged from its single-id run" >&2; exit 1; }
+done
+cmp "$SMOKE/shared.txt" "$SMOKE/single.txt" \
+    || { echo "verify: shared-study tables diverged from single-id runs" >&2; exit 1; }
+echo "verify: shared-study smoke OK"
+
 # Fault-injection smoke: the robustness sweep injects probe failures,
 # stragglers and corrupted measurements — two same-seed faulty runs must
 # still write byte-identical traces, and the sweep must render under the
