@@ -3,7 +3,7 @@
 
 use icm_bench::{black_box, Bench};
 use icm_placement::{
-    anneal_estimator, anneal_unconstrained, AnnealConfig, Estimator, PlacementError,
+    anneal, anneal_estimator, AnnealConfig, Estimator, FnObjective, PlacementError,
     PlacementProblem, PlacementState, RuntimePredictor, SearchGoal,
 };
 use icm_rng::Rng;
@@ -84,15 +84,17 @@ fn main() {
     }
 
     // The pre-incremental formulation (full estimate per candidate via
-    // the closure API) — kept as the speedup reference.
+    // a closure `FnObjective`) — kept as the speedup reference.
     b.bench("placement/anneal/closure/4000", || {
-        anneal_unconstrained(
+        anneal(
             &problem,
-            |s| Ok(estimator.estimate(s)?.weighted_total),
+            |_| FnObjective::new(|s| Ok(estimator.estimate(s)?.weighted_total), |_| Ok(0.0)),
+            None,
             &AnnealConfig {
                 iterations: 4000,
                 ..AnnealConfig::default()
             },
+            &icm_obs::Tracer::disabled(),
         )
         .expect("search runs")
     });

@@ -700,23 +700,30 @@ mod tests {
 
     #[test]
     fn summary_reports_search_convergence() {
-        use icm_placement::{anneal_traced, AcceptRule, AnnealConfig, PlacementProblem};
+        use icm_placement::{anneal, AcceptRule, AnnealConfig, FnObjective, PlacementProblem};
 
         let problem =
             PlacementProblem::paper_default(vec!["a".into(), "b".into(), "c".into(), "d".into()])
                 .expect("valid problem");
         let (tracer, recorder) = Tracer::recording(65536);
-        let result = anneal_traced(
+        let result = anneal(
             &problem,
-            |state| {
-                Ok(state
-                    .assignment()
-                    .iter()
-                    .enumerate()
-                    .map(|(slot, &w)| (w + 1) as f64 * (problem.host_of_slot(slot) + 1) as f64)
-                    .sum())
+            |_| {
+                FnObjective::new(
+                    |state| {
+                        Ok(state
+                            .assignment()
+                            .iter()
+                            .enumerate()
+                            .map(|(slot, &w)| {
+                                (w + 1) as f64 * (problem.host_of_slot(slot) + 1) as f64
+                            })
+                            .sum())
+                    },
+                    |_| Ok(0.0),
+                )
             },
-            |_| Ok(0.0),
+            None,
             &AnnealConfig {
                 iterations: 200,
                 accept: AcceptRule::Metropolis {

@@ -183,6 +183,24 @@ impl Fleet {
         best
     }
 
+    /// The co-runner signature key the online models' per-key
+    /// corrections hang off: the distinct names of the co-runner apps
+    /// (indexed like [`Self::apps`], in any order, repeats allowed),
+    /// sorted and joined with `+`, or `none` for no co-runner.
+    pub fn corunner_key(&self, corunners: &[usize]) -> String {
+        let mut names: Vec<&str> = corunners
+            .iter()
+            .map(|&j| self.apps[j].name.as_str())
+            .collect();
+        names.sort_unstable();
+        names.dedup();
+        if names.is_empty() {
+            "none".to_owned()
+        } else {
+            names.join("+")
+        }
+    }
+
     /// Sorted hosts workload `w` occupies in `state`.
     pub fn hosts_of(&self, state: &PlacementState, w: usize) -> Vec<usize> {
         let mut hosts = state.hosts_of(&self.problem, w);

@@ -41,4 +41,6 @@ pub use action::{
 };
 pub use error::ManagerError;
 pub use fleet::{Fleet, ManagedApp, IDLE_PREFIX};
-pub use runtime::{run_managed, run_unmanaged, EnvironmentDrift, ManagedRun, ManagerConfig};
+pub use runtime::{
+    run_managed, run_unmanaged, EnvironmentDrift, FleetObjective, ManagedRun, ManagerConfig,
+};

@@ -29,7 +29,7 @@
 //! [`DetectionRecord`]; the serialized action log is byte-identical
 //! across same-seed, same-fault-plan replays.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 use icm_core::{DriftConfig, DriftDetector, DriftSignal, ModelQuality};
 use icm_obs::manager as events;
@@ -38,8 +38,8 @@ use icm_obs::{
     DetectionInput, ObservationRef, OutcomeRef, PlacementRef, ProvenanceRecord, Tracer, Value,
 };
 use icm_placement::{
-    anneal_with, re_anneal_with, AnnealConfig, Eval, Objective, PlacementConstraints,
-    PlacementError, PlacementState, QosConfig,
+    anneal, AnnealConfig, Eval, Objective, PlacementConstraints, PlacementError, PlacementState,
+    QosConfig,
 };
 use icm_simcluster::{Deployment, Placement, SimTestbed, TestbedError, TestbedStats};
 
@@ -259,7 +259,7 @@ fn context_of(
     let problem = fleet.problem();
     let hosts = fleet.hosts_of(state, i);
     let mut pressures = Vec::with_capacity(hosts.len());
-    let mut corunners: BTreeSet<&str> = BTreeSet::new();
+    let mut corunners = Vec::new();
     for &h in &hosts {
         let mut pressure = 0.0;
         for (j, app) in fleet.apps().iter().enumerate() {
@@ -268,17 +268,12 @@ fn context_of(
             }
             if state.hosts_of(problem, j).contains(&h) {
                 pressure += app.online.base().bubble_score();
-                corunners.insert(app.name.as_str());
+                corunners.push(j);
             }
         }
         pressures.push(pressure);
     }
-    let key = if corunners.is_empty() {
-        "none".to_owned()
-    } else {
-        corunners.into_iter().collect::<Vec<_>>().join("+")
-    };
-    (pressures, key)
+    (pressures, fleet.corunner_key(&corunners))
 }
 
 /// Fleet-wide predicted cost of a candidate state: predicted seconds of
@@ -312,13 +307,19 @@ fn fleet_cost(
     Ok(total)
 }
 
-/// The fleet-cost evaluation the manager's searches actually run: the
-/// exact arithmetic of [`fleet_cost`] (same terms, same order — asserted
-/// bit-for-bit in tests), but with pooled per-host/per-app scratch and a
-/// co-runner-signature cache instead of fresh `Vec`/`BTreeSet`/`String`
-/// allocations per candidate. One independent instance per annealing
-/// lane (see [`AnnealConfig::lanes`]).
-struct FleetObjective<'a> {
+/// The fleet's placement objective — the one cost every fleet search
+/// minimizes: the manager's cold placement and warm re-anneals, and the
+/// daemon's `place` queries. A state costs the predicted seconds of
+/// every live application under its co-runner pressures, plus a fixed
+/// penalty per occupied host under drift suspicion; it is always
+/// feasible (violation `0`).
+///
+/// The arithmetic is the reference formulation's (same terms, same
+/// order — asserted bit-for-bit in tests), with pooled per-host/per-app
+/// scratch and a co-runner-key cache instead of fresh allocations per
+/// candidate. Build one independent instance per annealing lane (see
+/// [`AnnealConfig::lanes`]).
+pub struct FleetObjective<'a> {
     fleet: &'a Fleet,
     live: &'a [bool],
     suspicion: &'a [f64],
@@ -328,13 +329,18 @@ struct FleetObjective<'a> {
     app_hosts: Vec<Vec<usize>>,
     /// Pressure vector scratch for the app under evaluation.
     pressures: Vec<f64>,
-    /// Co-runner signature strings keyed by the co-runner app-index
-    /// bitmask; only usable for fleets of ≤ 128 applications.
-    key_cache: std::collections::BTreeMap<u128, String>,
+    /// Sorted, distinct co-runner indices of the app under evaluation.
+    corunners: Vec<usize>,
+    /// Co-runner signature keys by sorted co-runner index list.
+    key_cache: BTreeMap<Vec<usize>, String>,
 }
 
 impl<'a> FleetObjective<'a> {
-    fn new(fleet: &'a Fleet, live: &'a [bool], suspicion: &'a [f64]) -> Self {
+    /// The objective over `fleet`. `live[i]` says whether application
+    /// `i` (indexed like [`Fleet::apps`]) is in service — only live
+    /// applications are priced and exert pressure — and `suspicion[h]`
+    /// is host `h`'s drift suspicion (`0.0` = none).
+    pub fn new(fleet: &'a Fleet, live: &'a [bool], suspicion: &'a [f64]) -> Self {
         let hosts = fleet.problem().hosts();
         let apps = fleet.apps().len();
         Self {
@@ -344,34 +350,14 @@ impl<'a> FleetObjective<'a> {
             residents: vec![Vec::new(); hosts],
             app_hosts: vec![Vec::new(); apps],
             pressures: Vec::new(),
-            key_cache: std::collections::BTreeMap::new(),
+            corunners: Vec::new(),
+            key_cache: BTreeMap::new(),
         }
     }
 
-    /// The co-runner signature for a co-runner set given as an app-index
-    /// bitmask: distinct names, lexicographically sorted, joined with
-    /// `+` — exactly the key [`context_of`] builds.
-    fn key_for(&mut self, mask: u128) -> &str {
-        let fleet = self.fleet;
-        self.key_cache.entry(mask).or_insert_with(|| {
-            let mut names: BTreeSet<&str> = BTreeSet::new();
-            let mut bits = mask;
-            while bits != 0 {
-                let j = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                names.insert(fleet.apps()[j].name.as_str());
-            }
-            if names.is_empty() {
-                "none".to_owned()
-            } else {
-                names.into_iter().collect::<Vec<_>>().join("+")
-            }
-        })
-    }
-
     fn eval(&mut self, state: &PlacementState) -> Result<f64, PlacementError> {
-        let problem = self.fleet.problem();
-        let per_host = problem.slots_per_host();
+        let fleet = self.fleet;
+        let per_host = fleet.problem().slots_per_host();
         for list in &mut self.residents {
             list.clear();
         }
@@ -381,7 +367,7 @@ impl<'a> FleetObjective<'a> {
         // Idle filler workloads (indices past the real applications)
         // carry no model and no pressure — exactly as in [`context_of`],
         // which only ever iterates the real fleet.
-        let real = self.fleet.apps().len();
+        let real = fleet.apps().len();
         for (slot, &w) in state.assignment().iter().enumerate() {
             let host = slot / per_host;
             if w < real && self.live[w] {
@@ -398,39 +384,34 @@ impl<'a> FleetObjective<'a> {
             list.sort_unstable();
         }
 
-        let cacheable = self.fleet.apps().len() <= 128;
         let mut total = 0.0;
-        for i in 0..self.fleet.apps().len() {
+        for (i, app) in fleet.apps().iter().enumerate() {
             if !self.live[i] {
                 continue;
             }
-            let mut mask: u128 = 0;
             self.pressures.clear();
-            for k in 0..self.app_hosts[i].len() {
-                let host = self.app_hosts[i][k];
+            self.corunners.clear();
+            for &host in &self.app_hosts[i] {
                 let mut pressure = 0.0;
                 for &j in &self.residents[host] {
                     if j == i {
                         continue;
                     }
-                    pressure += self.fleet.apps()[j].online.base().bubble_score();
-                    if cacheable {
-                        mask |= 1u128 << j;
-                    }
+                    pressure += fleet.apps()[j].online.base().bubble_score();
+                    self.corunners.push(j);
                 }
                 self.pressures.push(pressure);
             }
-            let app = &self.fleet.apps()[i];
-            let predicted = if cacheable {
-                let mut pressures = std::mem::take(&mut self.pressures);
-                let key = self.key_for(mask);
-                let predicted = app.online.predict_for(key, &pressures);
-                pressures.clear();
-                self.pressures = pressures;
-                predicted
-            } else {
-                let (pressures, key) = context_of(self.fleet, state, self.live, i);
-                app.online.predict_for(&key, &pressures)
+            self.corunners.sort_unstable();
+            self.corunners.dedup();
+            let predicted = match self.key_cache.get(self.corunners.as_slice()) {
+                Some(key) => app.online.predict_for(key, &self.pressures),
+                None => {
+                    let key = fleet.corunner_key(&self.corunners);
+                    let predicted = app.online.predict_for(&key, &self.pressures);
+                    self.key_cache.insert(self.corunners.clone(), key);
+                    predicted
+                }
             }
             .map_err(|e| PlacementError::Predictor(e.to_string()))?;
             total += predicted * app.online.base().solo_seconds();
@@ -784,9 +765,10 @@ impl ManagedRun {
             lanes: config.search_lanes,
             ..AnnealConfig::default()
         };
-        let state = anneal_with(
+        let state = anneal(
             fleet.problem(),
             |_| FleetObjective::new(fleet, &live_all, &no_suspicion),
+            None,
             &initial_config,
             &icm_obs::Tracer::disabled(),
         )?
@@ -1431,11 +1413,10 @@ fn replan(
                 ..AnnealConfig::default()
             };
             let live_ref: &[bool] = live;
-            let result = re_anneal_with(
+            let result = anneal(
                 fleet.problem(),
                 |_| FleetObjective::new(fleet, live_ref, suspicion),
-                &current,
-                &constraints,
+                Some((&current, &constraints)),
                 &anneal_config,
                 sup.tracer,
             )?;
@@ -1541,7 +1522,7 @@ mod tests {
     use super::*;
     use icm_core::model::ModelBuilder;
     use icm_core::OnlineModel;
-    use icm_placement::anneal;
+    use icm_placement::FnObjective;
     use icm_rng::Rng;
     use icm_workloads::{Catalog, TestbedBuilder};
 
@@ -1571,37 +1552,61 @@ mod tests {
         Fleet::new(8, 2, SPAN, apps).expect("fleet packs")
     }
 
+    /// `apps` copies of one profiled model under distinct names, each
+    /// spanning two hosts, packed two slots per host with two idle
+    /// fillers.
+    fn wide_fleet(apps: usize) -> Fleet {
+        const WIDE_SPAN: usize = 2;
+        let mut tb = TestbedBuilder::new(&Catalog::paper()).seed(2016).build();
+        let model = ModelBuilder::new("M.milc")
+            .hosts(WIDE_SPAN)
+            .policy_samples(6)
+            .solo_repeats(1)
+            .score_repeats(1)
+            .seed(0xFEED)
+            .build(&mut tb)
+            .expect("model builds");
+        let apps = (0..apps)
+            .map(|k| ManagedApp::new(format!("app.{k:03}"), 1, OnlineModel::new(model.clone())))
+            .collect::<Vec<_>>();
+        let hosts = apps.len() + 2;
+        Fleet::new(hosts, 2, WIDE_SPAN, apps).expect("fleet packs")
+    }
+
     #[test]
     fn pooled_objective_matches_the_reference_cost_bit_for_bit() {
-        let fleet = fleet_fixture();
-        let n = fleet.apps().len();
-        let hosts = fleet.problem().hosts();
-        let live_patterns = [vec![true; n], {
-            let mut dead_first = vec![true; n];
-            dead_first[0] = false;
-            dead_first
-        }];
-        let suspicion_patterns = [vec![0.0; hosts], {
-            (0..hosts).map(|h| h as f64 * 0.125).collect()
-        }];
-        let mut rng = Rng::from_seed(0xF1EE7);
-        for live in &live_patterns {
-            for suspicion in &suspicion_patterns {
-                let mut objective = FleetObjective::new(&fleet, live, suspicion);
-                for _ in 0..40 {
-                    let state = PlacementState::random(fleet.problem(), &mut rng);
-                    let reference =
-                        fleet_cost(&fleet, live, suspicion, &state).expect("reference cost");
-                    let eval = objective.reset(&state).expect("pooled cost");
-                    assert_eq!(
-                        eval.cost.to_bits(),
-                        reference.to_bits(),
-                        "pooled {} != reference {reference}",
-                        eval.cost
-                    );
-                    assert_eq!(eval.violation, 0.0);
-                    let probe = objective.probe(&state, 0, 1).expect("probe");
-                    assert_eq!(probe.cost.to_bits(), reference.to_bits());
+        // The two-app fixture, and a 130-app fleet: the pooled path
+        // must hold for fleets of any size, with no app cap.
+        for (fleet, states) in [(fleet_fixture(), 40), (wide_fleet(130), 3)] {
+            let n = fleet.apps().len();
+            let hosts = fleet.problem().hosts();
+            let live_patterns = [vec![true; n], {
+                let mut dead_first = vec![true; n];
+                dead_first[0] = false;
+                dead_first
+            }];
+            let suspicion_patterns = [vec![0.0; hosts], {
+                (0..hosts).map(|h| h as f64 * 0.125).collect()
+            }];
+            let mut rng = Rng::from_seed(0xF1EE7);
+            for live in &live_patterns {
+                for suspicion in &suspicion_patterns {
+                    let mut objective = FleetObjective::new(&fleet, live, suspicion);
+                    for _ in 0..states {
+                        let state = PlacementState::random(fleet.problem(), &mut rng);
+                        let reference =
+                            fleet_cost(&fleet, live, suspicion, &state).expect("reference cost");
+                        let eval = objective.reset(&state).expect("pooled cost");
+                        assert_eq!(
+                            eval.cost.to_bits(),
+                            reference.to_bits(),
+                            "pooled {} != reference {reference}",
+                            eval.cost
+                        );
+                        assert_eq!(eval.violation, 0.0);
+                        let probe = objective.probe(&state, 0, 1).expect("probe");
+                        assert_eq!(probe.cost.to_bits(), reference.to_bits());
+                    }
                 }
             }
         }
@@ -1618,18 +1623,20 @@ mod tests {
             seed: 77,
             ..AnnealConfig::default()
         };
-        let pooled = anneal_with(
+        let pooled = anneal(
             fleet.problem(),
             |_| FleetObjective::new(&fleet, &live, &suspicion),
+            None,
             &config,
             &Tracer::disabled(),
         )
         .expect("pooled search");
         let closure = anneal(
             fleet.problem(),
-            |s| fleet_cost(&fleet, &live, &suspicion, s),
-            |_| Ok(0.0),
+            |_| FnObjective::new(|s| fleet_cost(&fleet, &live, &suspicion, s), |_| Ok(0.0)),
+            None,
             &config,
+            &Tracer::disabled(),
         )
         .expect("closure search");
         assert_eq!(pooled, closure);
@@ -1766,8 +1773,8 @@ mod tests {
                 .any(|d| d.kind == DetectionKind::HostDown && d.host == Some(crashed as u64)),
             "the surprise outage must be recorded as a typed detection"
         );
-        for i in 0..n {
-            if live[i] {
+        for (i, &alive) in live.iter().enumerate() {
+            if alive {
                 assert!(
                     !fleet.hosts_of(&planned, i).contains(&crashed),
                     "no surviving application may be routed through the dead host"

@@ -14,7 +14,7 @@ use icm_obs::{QuantileSketch, Tracer, Value};
 use icm_rng::Rng;
 
 use crate::error::PlacementError;
-use crate::objective::{Constrained, FnObjective, Objective};
+use crate::objective::{Constrained, Objective};
 use crate::state::{PlacementConstraints, PlacementProblem, PlacementState};
 
 /// The plateau tolerance shared by move acceptance, best-state tracking
@@ -335,19 +335,68 @@ fn run_lane<O: Objective>(
     })
 }
 
-/// Runs `config.lanes` independent lanes (in parallel on OS threads when
-/// more than one) and merges them deterministically: the winner is the
-/// lane with the lowest violation, then the lowest cost, ties going to
-/// the lowest lane index. Errors are also reported in lane order.
-#[allow(clippy::too_many_arguments)]
-fn run_lanes<O, F>(
+/// Minimizes an [`Objective`] over valid placements — the single entry
+/// point of the §5.1 swap search.
+///
+/// `objectives` builds one independent objective per lane index (lanes
+/// run on separate threads and may not share mutable caches). Wrap
+/// plain cost/violation closures in [`crate::FnObjective`] for the
+/// full-recompute reference path; [`crate::anneal_estimator`] drives
+/// the delta-evaluating [`crate::IncrementalObjective`].
+///
+/// The objective's violation quantifies how badly a state breaks the
+/// caller's constraint (`0` = feasible, larger = worse) — e.g. for QoS
+/// it is the excess of the target's predicted time over the allowed
+/// bound. This gives the search a gradient toward feasibility, which a
+/// boolean constraint cannot: from an infeasible state, swaps that
+/// reduce the violation are accepted (ties broken by cost); from a
+/// feasible state, only feasible neighbours are considered and accepted
+/// per the [`AcceptRule`], exactly the paper's §5.2 loop. The best
+/// feasible state seen is returned when one exists, otherwise the
+/// least-violating state.
+///
+/// With `warm: None` every lane starts from its own random state. With
+/// `warm: Some((start, constraints))` the search re-optimizes
+/// incrementally: every lane resumes at `start` (never a random
+/// restart) under per-app pin/exclude [`PlacementConstraints`], drawing
+/// fresh swap randomness from `config.seed`. Exclusion breaches are
+/// added to the violation, giving the search a gradient that vacates
+/// excluded `(workload, host)` pairs; pinned workloads' slots are
+/// frozen. With no improvement found the warm start itself is returned,
+/// so a bounded budget can only help, and
+/// [`AnnealResult::feasible`] is `true` only when the objective's
+/// violation is zero and no exclusion is breached.
+///
+/// Lanes run in parallel on OS threads when `config.lanes > 1` and
+/// merge deterministically: the winner is the lane with the lowest
+/// violation, then the lowest cost, ties going to the lowest lane index.
+/// Errors are also reported in lane order.
+///
+/// With an enabled `tracer` the search is wrapped in an `anneal` span
+/// whose `rule` is `"re-anneal"` for a warm start and the acceptance
+/// rule's name otherwise; every evaluated candidate emits an
+/// `anneal_iter` event (objective, violation, acceptance decision,
+/// temperature, lane), each lane emits an `anneal_lane` summary, and
+/// the span end carries the convergence summary (best cost,
+/// iterations-to-best, acceptance count, winning lane, final
+/// temperature). Same-seed runs produce byte-identical traces
+/// regardless of lane scheduling: lanes buffer their events and the
+/// caller replays them in lane order.
+///
+/// # Errors
+///
+/// Returns [`PlacementError::Shape`] if `config.lanes` is zero or the
+/// constraints reference an out-of-range workload or host, and
+/// [`PlacementError::InvalidAssignment`] if the warm start is not a
+/// valid state of `problem` (warm starts may come from deserialized
+/// savestates, which bypass [`PlacementState::new`]); propagates
+/// objective failures.
+pub fn anneal<O, F>(
     problem: &PlacementProblem,
-    objectives: &F,
+    objectives: F,
+    warm: Option<(&PlacementState, &PlacementConstraints)>,
     config: &AnnealConfig,
     tracer: &Tracer,
-    warm: Option<&PlacementState>,
-    constraints: Option<&PlacementConstraints>,
-    rule: &str,
 ) -> Result<AnnealResult, PlacementError>
 where
     O: Objective + Send,
@@ -358,35 +407,46 @@ where
             "anneal lanes must be at least 1".into(),
         ));
     }
+    let warm = match warm {
+        Some((start, constraints)) => {
+            constraints.check(problem)?;
+            let start = PlacementState::new(problem, start.assignment().to_vec())?;
+            Some((start, constraints))
+        }
+        None => None,
+    };
+    let rule = match warm {
+        Some(_) => "re-anneal",
+        None => rule_name(&config.accept),
+    };
     let record = tracer.enabled();
     let collect_sketch = tracer.telemetry().is_some();
     let lane_body = |k: usize| -> Result<LaneOutcome, PlacementError> {
         let mut rng = Rng::from_seed(icm_rng::split_seed(config.seed, k as u64));
-        let start = match warm {
-            Some(state) => state.clone(),
-            None => PlacementState::random(problem, &mut rng),
-        };
-        match constraints {
-            Some(c) => run_lane(
+        match &warm {
+            Some((start, c)) => run_lane(
                 problem,
                 Constrained::new(objectives(k), problem, c),
                 config,
                 rng,
-                start,
+                start.clone(),
                 Some(c),
                 record,
                 collect_sketch,
             ),
-            None => run_lane(
-                problem,
-                objectives(k),
-                config,
-                rng,
-                start,
-                None,
-                record,
-                collect_sketch,
-            ),
+            None => {
+                let start = PlacementState::random(problem, &mut rng);
+                run_lane(
+                    problem,
+                    objectives(k),
+                    config,
+                    rng,
+                    start,
+                    None,
+                    record,
+                    collect_sketch,
+                )
+            }
         }
     };
 
@@ -509,190 +569,12 @@ where
     })
 }
 
-/// Minimizes an [`Objective`] over valid placements — the engine behind
-/// every closure-based entry point, exposed for objectives that evaluate
-/// incrementally (see [`crate::IncrementalObjective`]).
-///
-/// `objectives` builds one independent objective per lane index (lanes
-/// run on separate threads and may not share mutable caches).
-///
-/// # Errors
-///
-/// Returns [`PlacementError::Shape`] if `config.lanes` is zero;
-/// propagates objective failures.
-pub fn anneal_with<O, F>(
-    problem: &PlacementProblem,
-    objectives: F,
-    config: &AnnealConfig,
-    tracer: &Tracer,
-) -> Result<AnnealResult, PlacementError>
-where
-    O: Objective + Send,
-    F: Fn(usize) -> O + Sync,
-{
-    run_lanes(
-        problem,
-        &objectives,
-        config,
-        tracer,
-        None,
-        None,
-        rule_name(&config.accept),
-    )
-}
-
-/// [`anneal_with`] from a warm start under [`PlacementConstraints`] —
-/// the engine behind [`re_anneal`], exposed for incremental objectives.
-///
-/// # Errors
-///
-/// Returns [`PlacementError::Shape`] for out-of-range constraints or
-/// zero lanes; propagates objective failures.
-pub fn re_anneal_with<O, F>(
-    problem: &PlacementProblem,
-    objectives: F,
-    start: &PlacementState,
-    constraints: &PlacementConstraints,
-    config: &AnnealConfig,
-    tracer: &Tracer,
-) -> Result<AnnealResult, PlacementError>
-where
-    O: Objective + Send,
-    F: Fn(usize) -> O + Sync,
-{
-    constraints.check(problem)?;
-    run_lanes(
-        problem,
-        &objectives,
-        config,
-        tracer,
-        Some(start),
-        Some(constraints),
-        "re-anneal",
-    )
-}
-
-/// Minimizes `cost` over valid placements subject to a constraint.
-///
-/// `violation` quantifies how badly a state breaks the constraint
-/// (`0` = feasible, larger = worse) — e.g. for QoS it is the excess of
-/// the target's predicted time over the allowed bound. This gives the
-/// search a gradient toward feasibility, which a boolean constraint
-/// cannot: from an infeasible state, swaps that reduce the violation are
-/// accepted (ties broken by cost); from a feasible state, only feasible
-/// neighbours are considered and accepted per the [`AcceptRule`], exactly
-/// the paper's §5.2 loop. The best feasible state seen is returned when
-/// one exists, otherwise the least-violating state.
-///
-/// # Errors
-///
-/// Propagates objective failures ([`PlacementError`]).
-pub fn anneal<C, V>(
-    problem: &PlacementProblem,
-    cost: C,
-    violation: V,
-    config: &AnnealConfig,
-) -> Result<AnnealResult, PlacementError>
-where
-    C: Fn(&PlacementState) -> Result<f64, PlacementError> + Sync,
-    V: Fn(&PlacementState) -> Result<f64, PlacementError> + Sync,
-{
-    anneal_traced(problem, cost, violation, config, &Tracer::disabled())
-}
-
-/// [`anneal`] with structured tracing: the search is wrapped in an
-/// `anneal` span, every evaluated candidate emits an `anneal_iter` event
-/// (objective, violation, acceptance decision, temperature, lane), each
-/// lane emits an `anneal_lane` summary, and the span end carries the
-/// convergence summary (best cost, iterations-to-best, acceptance count,
-/// winning lane, final temperature). Same-seed runs produce
-/// byte-identical traces regardless of lane scheduling: lanes buffer
-/// their events and the caller replays them in lane order.
-///
-/// # Errors
-///
-/// Propagates objective failures ([`PlacementError`]).
-pub fn anneal_traced<C, V>(
-    problem: &PlacementProblem,
-    cost: C,
-    violation: V,
-    config: &AnnealConfig,
-    tracer: &Tracer,
-) -> Result<AnnealResult, PlacementError>
-where
-    C: Fn(&PlacementState) -> Result<f64, PlacementError> + Sync,
-    V: Fn(&PlacementState) -> Result<f64, PlacementError> + Sync,
-{
-    anneal_with(
-        problem,
-        |_| FnObjective::new(&cost, &violation),
-        config,
-        tracer,
-    )
-}
-
-/// Incremental re-optimization from a warm start: resumes the search at
-/// `start` (never a random restart) under per-app pin/exclude
-/// [`PlacementConstraints`], drawing fresh swap randomness from
-/// `config.seed`. Exclusion breaches are added to `violation`, giving
-/// the annealer a gradient that vacates excluded `(workload, host)`
-/// pairs; pinned workloads' slots are frozen. With no improvement found
-/// the warm start itself is returned, so a bounded budget (the manager
-/// runs a few hundred iterations, not thousands) can only help.
-///
-/// The returned [`AnnealResult::feasible`] covers caller feasibility
-/// *and* the constraints: it is `true` only when the caller's violation
-/// is zero and no exclusion is breached.
-///
-/// # Errors
-///
-/// Returns [`PlacementError::Shape`] if the constraints reference an
-/// out-of-range workload or host; propagates objective failures.
-#[allow(clippy::too_many_arguments)]
-pub fn re_anneal<C, V>(
-    problem: &PlacementProblem,
-    cost: C,
-    violation: V,
-    start: &PlacementState,
-    constraints: &PlacementConstraints,
-    config: &AnnealConfig,
-    tracer: &Tracer,
-) -> Result<AnnealResult, PlacementError>
-where
-    C: Fn(&PlacementState) -> Result<f64, PlacementError> + Sync,
-    V: Fn(&PlacementState) -> Result<f64, PlacementError> + Sync,
-{
-    re_anneal_with(
-        problem,
-        |_| FnObjective::new(&cost, &violation),
-        start,
-        constraints,
-        config,
-        tracer,
-    )
-}
-
-/// Minimizes `cost` without any feasibility constraint.
-///
-/// # Errors
-///
-/// Propagates objective failures.
-pub fn anneal_unconstrained<C>(
-    problem: &PlacementProblem,
-    cost: C,
-    config: &AnnealConfig,
-) -> Result<AnnealResult, PlacementError>
-where
-    C: Fn(&PlacementState) -> Result<f64, PlacementError> + Sync,
-{
-    anneal(problem, cost, |_| Ok(0.0), config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::estimator::tests::{fake_predictors, fake_problem};
     use crate::estimator::{Estimator, RuntimePredictor};
+    use crate::objective::FnObjective;
 
     fn estimator_cost<'a>(
         estimator: &'a Estimator<'a>,
@@ -714,8 +596,14 @@ mod tests {
             iterations: 1500,
             ..AnnealConfig::default()
         };
-        let result = anneal_unconstrained(&problem, estimator_cost(&estimator), &config)
-            .expect("search runs");
+        let result = anneal(
+            &problem,
+            |_| FnObjective::new(estimator_cost(&estimator), |_| Ok(0.0)),
+            None,
+            &config,
+            &Tracer::disabled(),
+        )
+        .expect("search runs");
         // Greedy hill climbing guarantees it never leaves its own start
         // worse off; with the max-coupled sensitive workload in this
         // fixture it can stall in a local optimum (see
@@ -750,9 +638,10 @@ mod tests {
         // move strictly improves everyone else while the max is already
         // saturated) and cannot climb back out. Use the Metropolis
         // extension, which crosses that barrier reliably.
-        let result = anneal_unconstrained(
+        let result = anneal(
             &problem,
-            estimator_cost(&estimator),
+            |_| FnObjective::new(estimator_cost(&estimator), |_| Ok(0.0)),
+            None,
             &AnnealConfig {
                 iterations: 3000,
                 accept: AcceptRule::Metropolis {
@@ -761,6 +650,7 @@ mod tests {
                 },
                 ..AnnealConfig::default()
             },
+            &Tracer::disabled(),
         )
         .expect("search runs");
         // In the found placement, the sensitive workload (0) must never
@@ -787,12 +677,18 @@ mod tests {
         // the aggressor; feasible).
         let result = anneal(
             &problem,
-            |state| Ok(estimator.estimate(state)?.weighted_total),
-            |state| Ok((estimator.estimate(state)?.normalized_times[0] - 1.3).max(0.0)),
+            |_| {
+                FnObjective::new(
+                    |state| Ok(estimator.estimate(state)?.weighted_total),
+                    |state| Ok((estimator.estimate(state)?.normalized_times[0] - 1.3).max(0.0)),
+                )
+            },
+            None,
             &AnnealConfig {
                 iterations: 3000,
                 ..AnnealConfig::default()
             },
+            &Tracer::disabled(),
         )
         .expect("search runs");
         assert!(
@@ -814,12 +710,18 @@ mod tests {
         let estimator = Estimator::new(&problem, refs).expect("valid");
         let result = anneal(
             &problem,
-            |state| Ok(estimator.estimate(state)?.weighted_total),
-            |_| Ok(1.0),
+            |_| {
+                FnObjective::new(
+                    |state| Ok(estimator.estimate(state)?.weighted_total),
+                    |_| Ok(1.0),
+                )
+            },
+            None,
             &AnnealConfig {
                 iterations: 200,
                 ..AnnealConfig::default()
             },
+            &Tracer::disabled(),
         )
         .expect("search runs");
         assert!(!result.feasible);
@@ -834,18 +736,21 @@ mod tests {
             .map(|p| p as &dyn RuntimePredictor)
             .collect();
         let estimator = Estimator::new(&problem, refs).expect("valid");
-        let greedy = anneal_unconstrained(
+        let greedy = anneal(
             &problem,
-            |s| Ok(estimator.estimate(s)?.weighted_total),
+            |_| FnObjective::new(|s| Ok(estimator.estimate(s)?.weighted_total), |_| Ok(0.0)),
+            None,
             &AnnealConfig {
                 iterations: 3000,
                 ..AnnealConfig::default()
             },
+            &Tracer::disabled(),
         )
         .expect("runs");
-        let metropolis = anneal_unconstrained(
+        let metropolis = anneal(
             &problem,
-            |s| Ok(estimator.estimate(s)?.weighted_total),
+            |_| FnObjective::new(|s| Ok(estimator.estimate(s)?.weighted_total), |_| Ok(0.0)),
+            None,
             &AnnealConfig {
                 iterations: 3000,
                 accept: AcceptRule::Metropolis {
@@ -854,6 +759,7 @@ mod tests {
                 },
                 ..AnnealConfig::default()
             },
+            &Tracer::disabled(),
         )
         .expect("runs");
         // Metropolis crosses the herding barrier (see
@@ -883,14 +789,16 @@ mod tests {
             .collect();
         let estimator = Estimator::new(&problem, refs).expect("valid");
         let run = |seed| {
-            anneal_unconstrained(
+            anneal(
                 &problem,
-                |s| Ok(estimator.estimate(s)?.weighted_total),
+                |_| FnObjective::new(|s| Ok(estimator.estimate(s)?.weighted_total), |_| Ok(0.0)),
+                None,
                 &AnnealConfig {
                     iterations: 500,
                     seed,
                     ..AnnealConfig::default()
                 },
+                &Tracer::disabled(),
             )
             .expect("runs")
         };
@@ -932,10 +840,10 @@ mod tests {
             |config: &AnnealConfig,
              violation: fn(&PlacementState) -> Result<f64, PlacementError>| {
                 let (tracer, recorder) = icm_obs::Tracer::recording(8192);
-                anneal_traced(
+                anneal(
                     &problem,
-                    estimator_cost(&estimator),
-                    violation,
+                    |_| FnObjective::new(estimator_cost(&estimator), &violation),
+                    None,
                     config,
                     &tracer,
                 )
@@ -986,10 +894,14 @@ mod tests {
         // costs would ignore most cheaper states. The best must be the
         // cheapest state the walk ever accepted (or the start).
         let (tracer, recorder) = icm_obs::Tracer::recording(16384);
-        let result = anneal_traced(
+        let result = anneal(
             &problem,
-            estimator_cost(&estimator),
-            |s| Ok(1.0 + 5e-13 * ((s.workload_at(0) % 2) as f64)),
+            |_| {
+                FnObjective::new(estimator_cost(&estimator), |s| {
+                    Ok(1.0 + 5e-13 * ((s.workload_at(0) % 2) as f64))
+                })
+            },
+            None,
             &AnnealConfig {
                 iterations: 300,
                 ..AnnealConfig::default()
@@ -1033,10 +945,10 @@ mod tests {
             },
             ..AnnealConfig::default()
         };
-        let result = anneal_traced(
+        let result = anneal(
             &problem,
-            |s| Ok(estimator.estimate(s)?.weighted_total),
-            |_| Ok(0.0),
+            |_| FnObjective::new(|s| Ok(estimator.estimate(s)?.weighted_total), |_| Ok(0.0)),
+            None,
             &config,
             &tracer,
         )
@@ -1084,17 +996,19 @@ mod tests {
             iterations: 300,
             ..AnnealConfig::default()
         };
-        let plain = anneal_unconstrained(
+        let plain = anneal(
             &problem,
-            |s| Ok(estimator.estimate(s)?.weighted_total),
+            |_| FnObjective::new(|s| Ok(estimator.estimate(s)?.weighted_total), |_| Ok(0.0)),
+            None,
             &config,
+            &Tracer::disabled(),
         )
         .expect("runs");
         let (tracer, _recorder) = icm_obs::Tracer::recording(8192);
-        let traced = anneal_traced(
+        let traced = anneal(
             &problem,
-            |s| Ok(estimator.estimate(s)?.weighted_total),
-            |_| Ok(0.0),
+            |_| FnObjective::new(|s| Ok(estimator.estimate(s)?.weighted_total), |_| Ok(0.0)),
+            None,
             &config,
             &tracer,
         )
@@ -1116,15 +1030,25 @@ mod tests {
             lanes: 4,
             ..AnnealConfig::default()
         };
-        let run =
-            || anneal_unconstrained(&problem, estimator_cost(&estimator), &config).expect("runs");
+        let run = || {
+            anneal(
+                &problem,
+                |_| FnObjective::new(estimator_cost(&estimator), |_| Ok(0.0)),
+                None,
+                &config,
+                &Tracer::disabled(),
+            )
+            .expect("runs")
+        };
         let a = run();
         let b = run();
         assert_eq!(a, b, "same-seed parallel searches diverged");
-        let single = anneal_unconstrained(
+        let single = anneal(
             &problem,
-            estimator_cost(&estimator),
+            |_| FnObjective::new(estimator_cost(&estimator), |_| Ok(0.0)),
+            None,
             &AnnealConfig { lanes: 1, ..config },
+            &Tracer::disabled(),
         )
         .expect("runs");
         assert!(
@@ -1159,10 +1083,10 @@ mod tests {
         };
         let trace = || {
             let (tracer, recorder) = icm_obs::Tracer::recording(16384);
-            anneal_traced(
+            anneal(
                 &problem,
-                estimator_cost(&estimator),
-                |_| Ok(0.0),
+                |_| FnObjective::new(estimator_cost(&estimator), |_| Ok(0.0)),
+                None,
                 &config,
                 &tracer,
             )
@@ -1192,13 +1116,15 @@ mod tests {
     #[test]
     fn zero_lanes_is_rejected_and_config_json_defaults_to_one() {
         let problem = fake_problem();
-        let result = anneal_unconstrained(
+        let result = anneal(
             &problem,
-            |_| Ok(0.0),
+            |_| FnObjective::new(|_| Ok(0.0), |_| Ok(0.0)),
+            None,
             &AnnealConfig {
                 lanes: 0,
                 ..AnnealConfig::default()
             },
+            &Tracer::disabled(),
         );
         assert!(matches!(result, Err(PlacementError::Shape(_))));
         // Pre-lanes JSON still parses (lanes defaults to 1)…
@@ -1225,13 +1151,15 @@ mod tests {
             .map(|p| p as &dyn RuntimePredictor)
             .collect();
         let estimator = Estimator::new(&problem, refs).expect("valid");
-        let result = anneal_unconstrained(
+        let result = anneal(
             &problem,
-            |s| Ok(estimator.estimate(s)?.weighted_total),
+            |_| FnObjective::new(|s| Ok(estimator.estimate(s)?.weighted_total), |_| Ok(0.0)),
+            None,
             &AnnealConfig {
                 iterations: 1500,
                 ..AnnealConfig::default()
             },
+            &Tracer::disabled(),
         )
         .expect("runs");
         assert!(result.best_iteration >= 1, "some swap must have helped");
@@ -1253,21 +1181,21 @@ mod tests {
         let estimator = Estimator::new(&problem, refs).expect("valid");
         // First find a good state, then re-anneal from it with a tiny
         // budget: the result must never be worse than the warm start.
-        let good = anneal_unconstrained(
+        let good = anneal(
             &problem,
-            estimator_cost(&estimator),
+            |_| FnObjective::new(estimator_cost(&estimator), |_| Ok(0.0)),
+            None,
             &AnnealConfig {
                 iterations: 1500,
                 ..AnnealConfig::default()
             },
+            &Tracer::disabled(),
         )
         .expect("runs");
-        let warm = re_anneal(
+        let warm = anneal(
             &problem,
-            estimator_cost(&estimator),
-            |_| Ok(0.0),
-            &good.state,
-            &PlacementConstraints::new(),
+            |_| FnObjective::new(estimator_cost(&estimator), |_| Ok(0.0)),
+            Some((&good.state, &PlacementConstraints::new())),
             &AnnealConfig {
                 iterations: 50,
                 ..AnnealConfig::default()
@@ -1283,12 +1211,10 @@ mod tests {
         );
         // A zero-iteration budget returns the start state verbatim —
         // incremental, never a restart.
-        let frozen = re_anneal(
+        let frozen = anneal(
             &problem,
-            estimator_cost(&estimator),
-            |_| Ok(0.0),
-            &good.state,
-            &PlacementConstraints::new(),
+            |_| FnObjective::new(estimator_cost(&estimator), |_| Ok(0.0)),
+            Some((&good.state, &PlacementConstraints::new())),
             &AnnealConfig {
                 iterations: 0,
                 ..AnnealConfig::default()
@@ -1321,12 +1247,10 @@ mod tests {
         constraints.pin(3);
         let pinned_slots = start.slots_of(3);
         assert!(constraints.breaches(&problem, &start) > 0);
-        let result = re_anneal(
+        let result = anneal(
             &problem,
-            estimator_cost(&estimator),
-            |_| Ok(0.0),
-            &start,
-            &constraints,
+            |_| FnObjective::new(estimator_cost(&estimator), |_| Ok(0.0)),
+            Some((&start, &constraints)),
             &AnnealConfig {
                 iterations: 2000,
                 ..AnnealConfig::default()
@@ -1364,12 +1288,10 @@ mod tests {
             ..AnnealConfig::default()
         };
         let run = |tracer: &Tracer| {
-            re_anneal(
+            anneal(
                 &problem,
-                estimator_cost(&estimator),
-                |_| Ok(0.0),
-                &start,
-                &constraints,
+                |_| FnObjective::new(estimator_cost(&estimator), |_| Ok(0.0)),
+                Some((&start, &constraints)),
                 &config,
                 tracer,
             )
@@ -1378,14 +1300,71 @@ mod tests {
         let a = run(&Tracer::disabled());
         let b = run(&Tracer::disabled());
         assert_eq!(a, b, "same-seed re-anneals diverged");
-        // Traced: identical result, and the span is tagged re-anneal so
-        // summaries can tell warm restarts from cold searches.
-        let (tracer, recorder) = icm_obs::Tracer::recording(8192);
-        let traced = run(&tracer);
-        assert_eq!(traced, a);
-        let events = recorder.events();
-        assert_eq!(events[0].name, "anneal.begin");
-        assert_eq!(events[0].str("rule"), Some("re-anneal"));
+        // Traced: identical result.
+        let (tracer, _recorder) = icm_obs::Tracer::recording(8192);
+        assert_eq!(run(&tracer), a);
+        // The span's rule is derived from the inputs, so summaries can
+        // tell warm restarts from cold searches: any warm start is
+        // tagged re-anneal, a cold search names its acceptance rule.
+        let metropolis = AcceptRule::Metropolis {
+            initial_temperature: 0.5,
+            cooling: 0.999,
+        };
+        let warm = Some((&start, &constraints));
+        for (warm, accept, rule) in [
+            (warm, AcceptRule::Greedy, "re-anneal"),
+            (warm, metropolis, "re-anneal"),
+            (None, AcceptRule::Greedy, "greedy"),
+            (None, metropolis, "metropolis"),
+        ] {
+            let (tracer, recorder) = icm_obs::Tracer::recording(8192);
+            anneal(
+                &problem,
+                |_| FnObjective::new(estimator_cost(&estimator), |_| Ok(0.0)),
+                warm,
+                &AnnealConfig { accept, ..config },
+                &tracer,
+            )
+            .expect("runs");
+            let events = recorder.events();
+            assert_eq!(events[0].name, "anneal.begin");
+            assert_eq!(
+                events[0].str("rule"),
+                Some(rule),
+                "warm start {}, {accept:?}",
+                warm.is_some()
+            );
+        }
+    }
+
+    #[test]
+    fn invalid_warm_starts_are_rejected_not_indexed() {
+        // Warm starts can arrive from deserialized savestates, whose JSON
+        // decoding skips `PlacementState::new`'s checks: a state built
+        // for another problem must surface as a typed error, never as an
+        // out-of-bounds panic inside a lane.
+        let problem = fake_problem();
+        let mut rng = Rng::from_seed(5);
+        let valid = PlacementState::random(&problem, &mut rng);
+        let short = &valid.assignment()[..8];
+        let long: Vec<usize> = valid.assignment().iter().chain(short).copied().collect();
+        let mut out_of_range = valid.assignment().to_vec();
+        out_of_range[3] = problem.workloads().len();
+        for assignment in [short.to_vec(), long, out_of_range] {
+            let text = format!(r#"{{"assignment":{assignment:?}}}"#);
+            let start: PlacementState = icm_json::from_str(&text).expect("decodes unchecked");
+            let result = anneal(
+                &problem,
+                |_| FnObjective::new(|_| Ok(0.0), |_| Ok(0.0)),
+                Some((&start, &PlacementConstraints::new())),
+                &AnnealConfig::default(),
+                &Tracer::disabled(),
+            );
+            assert!(
+                matches!(result, Err(PlacementError::InvalidAssignment(_))),
+                "{assignment:?} gave {result:?}"
+            );
+        }
     }
 
     #[test]
@@ -1395,12 +1374,10 @@ mod tests {
         let start = PlacementState::random(&problem, &mut rng);
         let mut constraints = PlacementConstraints::new();
         constraints.exclude(0, 999);
-        let result = re_anneal(
+        let result = anneal(
             &problem,
-            |_| Ok(0.0),
-            |_| Ok(0.0),
-            &start,
-            &constraints,
+            |_| FnObjective::new(|_| Ok(0.0), |_| Ok(0.0)),
+            Some((&start, &constraints)),
             &AnnealConfig::default(),
             &Tracer::disabled(),
         );
@@ -1410,10 +1387,17 @@ mod tests {
     #[test]
     fn objective_errors_propagate() {
         let problem = fake_problem();
-        let result = anneal_unconstrained(
+        let result = anneal(
             &problem,
-            |_| Err(PlacementError::Predictor("boom".into())),
+            |_| {
+                FnObjective::new(
+                    |_| Err(PlacementError::Predictor("boom".into())),
+                    |_| Ok(0.0),
+                )
+            },
+            None,
             &AnnealConfig::default(),
+            &Tracer::disabled(),
         );
         assert!(result.is_err());
     }

@@ -602,8 +602,10 @@ impl IncrementalObjective<'_> {
 /// [`SearchGoal`] using delta-energy evaluation — the hot path behind
 /// [`crate::place_qos`], [`crate::place_min_waste`] and
 /// [`crate::find_placements`], exposed for callers that bring their own
-/// [`crate::AnnealConfig`]. Results are bit-identical to running
-/// [`crate::anneal`] with the equivalent full-recompute closures.
+/// [`crate::AnnealConfig`]: validates `goal`, then runs a cold
+/// [`crate::anneal`]. Results are bit-identical to running
+/// [`crate::anneal`] with the equivalent full-recompute
+/// [`crate::FnObjective`] closures.
 ///
 /// # Errors
 ///
@@ -617,9 +619,10 @@ pub fn anneal_estimator(
     tracer: &icm_obs::Tracer,
 ) -> Result<crate::annealing::AnnealResult, PlacementError> {
     goal.validate(estimator)?;
-    crate::annealing::anneal_with(
+    crate::annealing::anneal(
         estimator.problem(),
         |_| IncrementalObjective::prepared(estimator, goal),
+        None,
         config,
         tracer,
     )
@@ -628,12 +631,13 @@ pub fn anneal_estimator(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::annealing::{anneal, anneal_unconstrained, AcceptRule, AnnealConfig};
+    use crate::annealing::{anneal, AcceptRule, AnnealConfig};
     use crate::energy::estimate_waste;
     use crate::estimator::tests::{
         fake_predictors, fake_problem, DefaultedPredictor, FakePredictor,
     };
     use crate::estimator::RuntimePredictor;
+    use crate::objective::FnObjective;
     use crate::state::PlacementProblem;
     use icm_obs::Tracer;
     use icm_rng::Rng;
@@ -773,10 +777,17 @@ mod tests {
                 &Tracer::disabled(),
             )
             .expect("runs");
-            let closure = anneal_unconstrained(
+            let closure = anneal(
                 &problem,
-                |s: &PlacementState| Ok(estimator.estimate(s)?.weighted_total),
+                |_| {
+                    FnObjective::new(
+                        |s: &PlacementState| Ok(estimator.estimate(s)?.weighted_total),
+                        |_| Ok(0.0),
+                    )
+                },
+                None,
                 &config,
+                &Tracer::disabled(),
             )
             .expect("runs");
             assert_eq!(incremental, closure, "paths diverged under {accept:?}");
@@ -793,10 +804,17 @@ mod tests {
             &Tracer::disabled(),
         )
         .expect("runs");
-        let closure = anneal_unconstrained(
+        let closure = anneal(
             &problem,
-            |s: &PlacementState| Ok(estimate_waste(&estimator, s)?.total_wasted),
+            |_| {
+                FnObjective::new(
+                    |s: &PlacementState| Ok(estimate_waste(&estimator, s)?.total_wasted),
+                    |_| Ok(0.0),
+                )
+            },
+            None,
             &config,
+            &Tracer::disabled(),
         )
         .expect("runs");
         assert_eq!(incremental, closure);
@@ -815,9 +833,17 @@ mod tests {
         .expect("runs");
         let closure = anneal(
             &problem,
-            |s: &PlacementState| Ok(estimator.estimate(s)?.weighted_total),
-            |s: &PlacementState| Ok((estimator.estimate(s)?.normalized_times[0] - bound).max(0.0)),
+            |_| {
+                FnObjective::new(
+                    |s: &PlacementState| Ok(estimator.estimate(s)?.weighted_total),
+                    |s: &PlacementState| {
+                        Ok((estimator.estimate(s)?.normalized_times[0] - bound).max(0.0))
+                    },
+                )
+            },
+            None,
             &config,
+            &Tracer::disabled(),
         )
         .expect("runs");
         assert_eq!(incremental, closure);

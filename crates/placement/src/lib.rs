@@ -3,7 +3,11 @@
 //!
 //! Given per-application interference models (from [`icm_core`]), this
 //! crate searches the space of slot assignments with a simulated-
-//! annealing-style swap search:
+//! annealing-style swap search. [`anneal`] is its single entry point:
+//! it minimizes any [`Objective`] (cold or from a warm start under
+//! [`PlacementConstraints`]), and [`anneal_estimator`] validates an
+//! estimator-backed [`SearchGoal`] and runs it through [`anneal`]. The
+//! studies build on it:
 //!
 //! * [`place_qos`] — keep a mission-critical application within a
 //!   guaranteed fraction of its solo performance while minimizing the
@@ -65,10 +69,7 @@ mod qos;
 mod state;
 mod throughput;
 
-pub use annealing::{
-    anneal, anneal_traced, anneal_unconstrained, anneal_with, re_anneal, re_anneal_with,
-    AcceptRule, AnnealConfig, AnnealResult,
-};
+pub use annealing::{anneal, AcceptRule, AnnealConfig, AnnealResult};
 pub use dense::{AppId, DenseKey, DenseMap, HostId, SlotId};
 pub use energy::{estimate_waste, place_min_waste, EnergyEstimate};
 pub use error::PlacementError;

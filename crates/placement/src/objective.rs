@@ -1,7 +1,7 @@
 //! The annealer's pluggable evaluation interface.
 //!
-//! The search loop in [`crate::anneal_with`] does not know what it is
-//! optimizing; it drives an [`Objective`] through a strict protocol that
+//! The search loop in [`crate::anneal`] — the single entry point of the
+//! swap search — does not know what it is optimizing; it drives an [`Objective`] through a strict protocol that
 //! lets implementations evaluate candidate swaps *incrementally*:
 //!
 //! 1. [`reset`](Objective::reset) — evaluate a full state from scratch
@@ -15,7 +15,7 @@
 //!    unchanged.
 //!
 //! [`FnObjective`] adapts plain cost/violation closures (full recompute
-//! per probe) so the closure-based entry points keep working;
+//! per probe) — the closure-based reference path;
 //! [`crate::IncrementalObjective`] exploits the protocol to touch only
 //! the two affected hosts per probe.
 
@@ -65,9 +65,8 @@ pub trait Objective {
 }
 
 /// Adapts a cost closure and a violation closure into an [`Objective`]
-/// that fully recomputes both on every probe — the semantics the
-/// closure-based entry points ([`crate::anneal`], [`crate::re_anneal`])
-/// always had.
+/// that fully recomputes both on every probe — the reference path that
+/// optimized objectives are checked against through [`crate::anneal`].
 pub struct FnObjective<C, V> {
     cost: C,
     violation: V,
@@ -111,8 +110,8 @@ where
 }
 
 /// Adds [`PlacementConstraints`] exclusion breaches to an inner
-/// objective's violation — how [`crate::re_anneal`] prices its
-/// constraints, factored out so every objective composes with them.
+/// objective's violation — how a warm-started [`crate::anneal`] prices
+/// its constraints, factored out so every objective composes with them.
 pub(crate) struct Constrained<'a, O> {
     inner: O,
     problem: &'a PlacementProblem,

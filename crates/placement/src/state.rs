@@ -439,8 +439,8 @@ impl PlacementState {
     }
 }
 
-/// Per-app constraints for incremental re-placement
-/// ([`re_anneal`](crate::re_anneal)):
+/// Per-app constraints for incremental re-placement (a warm-started
+/// [`anneal`](crate::anneal)):
 ///
 /// * **pin** — a pinned workload's slots never participate in swaps, so
 ///   its placement is frozen exactly as the warm start left it (e.g.

@@ -4,9 +4,10 @@
 //! pseudo-random case list, so a failure reproduces exactly and prints
 //! its case index.
 
+use icm_obs::Tracer;
 use icm_placement::{
-    anneal_unconstrained, AnnealConfig, Estimator, PlacementError, PlacementProblem,
-    PlacementState, RuntimePredictor,
+    anneal, AnnealConfig, Estimator, FnObjective, PlacementError, PlacementProblem, PlacementState,
+    RuntimePredictor,
 };
 use icm_rng::Rng;
 
@@ -103,14 +104,16 @@ fn search_never_returns_worse_than_its_start_population() {
             .map(|p| p as &dyn RuntimePredictor)
             .collect();
         let estimator = Estimator::new(&problem, refs).expect("valid");
-        let result = anneal_unconstrained(
+        let result = anneal(
             &problem,
-            |s| Ok(estimator.estimate(s)?.weighted_total),
+            |_| FnObjective::new(|s| Ok(estimator.estimate(s)?.weighted_total), |_| Ok(0.0)),
+            None,
             &AnnealConfig {
                 iterations: 200,
                 seed,
                 ..AnnealConfig::default()
             },
+            &Tracer::disabled(),
         )
         .expect("search runs");
         assert_valid(&problem, &result.state);

@@ -40,9 +40,9 @@ use std::time::Instant;
 use icm_json::fs::SnapshotStore;
 use icm_json::{Json, JsonError};
 use icm_manager::snapshot::{WorldSnapshot, WORLD_SNAPSHOT_VERSION};
-use icm_manager::{Fleet, ManagedRun, ManagerConfig};
+use icm_manager::{Fleet, FleetObjective, ManagedRun, ManagerConfig};
 use icm_obs::{QuantileSketch, Tracer};
-use icm_placement::{anneal_unconstrained, AnnealConfig};
+use icm_placement::{anneal, AnnealConfig};
 use icm_simcluster::SimTestbed;
 
 use crate::cache::{CacheEntry, PredictionCache};
@@ -51,7 +51,7 @@ use crate::frame::Frame;
 use crate::journal::{JournalEntry, LineJournal};
 use crate::protocol::{ErrorCode, Reply, Request, RequestKind};
 use crate::queue::{Admission, AdmissionQueue, Pending};
-use crate::world::{build_world, context_for, fleet_cost, ServerConfig};
+use crate::world::{build_world, context_for, ServerConfig};
 
 /// Virtual cost of a fresh model prediction (microseconds).
 pub const PREDICT_FULL_COST_US: u64 = 2_000;
@@ -772,11 +772,18 @@ impl Server {
                     lanes: self.manager_config.search_lanes.max(1),
                     ..AnnealConfig::default()
                 };
+                // The manager's own objective, with every app live and no
+                // crash suspicion, which a placement query has no business
+                // pricing.
                 let fleet = &self.fleet;
-                let result = match anneal_unconstrained(
+                let live = vec![true; fleet.apps().len()];
+                let suspicion = vec![0.0; fleet.problem().hosts()];
+                let result = match anneal(
                     fleet.problem(),
-                    |state| fleet_cost(fleet, state),
+                    |_| FleetObjective::new(fleet, &live, &suspicion),
+                    None,
                     &anneal_config,
+                    &Tracer::disabled(),
                 ) {
                     Ok(result) => result,
                     Err(e) => return refuse(self, ErrorCode::Unavailable, e.to_string(), replies),
@@ -1021,5 +1028,45 @@ fn load_snapshot(store: &SnapshotStore) -> Result<Option<ServerSnapshot>, Server
             "no usable checkpoint: {}",
             failures.join("; ")
         )))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Serves one interactive `place` and returns its payload's
+    /// `(cost bits, evaluations, best_iteration)`.
+    fn place(server: &mut Server, id: &str, iterations: u64) -> (u64, u64, u64) {
+        let line = format!(
+            r#"{{"id":"{id}","kind":"place","iterations":{iterations},"deadline_ms":500}}"#
+        );
+        let replies = server
+            .handle_frame(&Frame::Line(line))
+            .expect("frame handled");
+        assert_eq!(replies.len(), 1);
+        let reply = icm_json::parse(&replies[0]).expect("reply parses");
+        let payload = reply.get("payload").expect("ok reply has a payload");
+        let num = |field| payload.get(field).and_then(Json::as_f64).expect(field);
+        (
+            num("cost").to_bits(),
+            num("evaluations") as u64,
+            num("best_iteration") as u64,
+        )
+    }
+
+    /// `place` replies are part of the journal's byte-identity contract:
+    /// the search's objective, seed derivation and lane merge may be
+    /// refactored, but the cost bits, evaluation count and convergence
+    /// point of a fixed query on the fast world must not move.
+    #[test]
+    fn place_replies_are_pinned_on_the_fast_world() {
+        let mut config = ServerConfig::new(2016, true);
+        config.sync = false;
+        let mut server = Server::start(config, None).expect("starts");
+        let short = place(&mut server, "p200", 200);
+        let long = place(&mut server, "p400", 400);
+        assert_eq!(short, (0x4081_070b_767b_7fd4, 402, 0));
+        assert_eq!(long, (0x4081_070b_767b_7fd4, 802, 6));
     }
 }

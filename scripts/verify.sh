@@ -9,7 +9,7 @@ cd "$(dirname "$0")/.."
 
 cargo build --workspace --release --offline
 cargo test -q --workspace --offline
-cargo clippy --workspace --offline -- -D warnings
+cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo fmt --check
 
 # Report-pipeline smoke: two same-seed traced mini-runs must diff clean,

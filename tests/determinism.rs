@@ -77,7 +77,7 @@ fn profiler_json_is_byte_identical_across_runs() {
 #[test]
 fn placement_json_is_byte_identical_across_runs() {
     use icm::placement::{
-        anneal_unconstrained, AnnealConfig, Estimator, PlacementProblem, RuntimePredictor,
+        anneal, AnnealConfig, Estimator, FnObjective, PlacementProblem, RuntimePredictor,
     };
     let search = || {
         let mut tb = TestbedBuilder::new(&Catalog::paper()).seed(23).build();
@@ -98,13 +98,15 @@ fn placement_json_is_byte_identical_across_runs() {
         let refs: Vec<&dyn RuntimePredictor> =
             models.iter().map(|m| m as &dyn RuntimePredictor).collect();
         let estimator = Estimator::new(&problem, refs).expect("valid");
-        let result = anneal_unconstrained(
+        let result = anneal(
             &problem,
-            |s| Ok(estimator.estimate(s)?.weighted_total),
+            |_| FnObjective::new(|s| Ok(estimator.estimate(s)?.weighted_total), |_| Ok(0.0)),
+            None,
             &AnnealConfig {
                 iterations: 400,
                 ..AnnealConfig::default()
             },
+            &Tracer::disabled(),
         )
         .expect("search runs");
         icm::json::to_string_pretty(&result)

@@ -5,9 +5,10 @@
 use icm::core::model::ModelBuilder;
 use icm::core::online::OnlineModel;
 use icm::core::{combine_scores, measure_bubble_score, ModelStore};
-use icm::placement::{anneal_unconstrained, AcceptRule, AnnealConfig, Estimator, PlacementProblem};
+use icm::placement::{anneal, AcceptRule, AnnealConfig, Estimator, FnObjective, PlacementProblem};
 use icm::simcluster::{Deployment, Placement};
 use icm::workloads::{Catalog, PropagationClass, SyntheticWorkload, TestbedBuilder};
+use icm_obs::Tracer;
 
 #[test]
 fn stored_fleet_drives_placement_after_reload() {
@@ -34,9 +35,10 @@ fn stored_fleet_drives_placement_after_reload() {
     // Metropolis acceptance: strict hill climbing can stall with the
     // aggressor still on the sensitive app's hosts (see
     // `icm_placement::annealing`), which this test asserts against.
-    let result = anneal_unconstrained(
+    let result = anneal(
         &problem,
-        |s| Ok(estimator.estimate(s)?.weighted_total),
+        |_| FnObjective::new(|s| Ok(estimator.estimate(s)?.weighted_total), |_| Ok(0.0)),
+        None,
         &AnnealConfig {
             iterations: 800,
             accept: AcceptRule::Metropolis {
@@ -45,6 +47,7 @@ fn stored_fleet_drives_placement_after_reload() {
             },
             ..AnnealConfig::default()
         },
+        &Tracer::disabled(),
     )
     .expect("search runs");
     assert!(result.cost > 0.0);

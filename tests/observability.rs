@@ -9,18 +9,16 @@ use icm_experiments::context::{private_testbed, ExpConfig};
 use icm_experiments::profiling_source::AppSource;
 use icm_experiments::trace::summarize;
 use icm_obs::{parse_events, Event, JsonlSink, SharedBuf, Tracer};
-use icm_placement::{anneal_traced, AcceptRule, AnnealConfig, PlacementProblem, PlacementState};
+use icm_placement::{
+    anneal, AcceptRule, AnnealConfig, FnObjective, PlacementProblem, PlacementState,
+};
 use icm_simcluster::TestbedStats;
 
 /// Runs the same profiling sweep with a JSONL sink — optionally with the
 /// wall-time side channel enabled — and returns the raw trace bytes, the
 /// testbed's own accounting, and the tracer (for wall-profile access).
 fn traced_profiling_sweep_wall(seed: u64, wall: bool) -> (String, TestbedStats, Tracer) {
-    let cfg = ExpConfig {
-        fast: true,
-        seed,
-        ..ExpConfig::default()
-    };
+    let cfg = ExpConfig { fast: true, seed };
     let mut testbed = private_testbed(&cfg);
     let buf = SharedBuf::new();
     let tracer = Tracer::with_sink(JsonlSink::new(buf.clone()));
@@ -65,10 +63,10 @@ fn traced_search(seed: u64) -> String {
             .expect("valid problem");
     let buf = SharedBuf::new();
     let tracer = Tracer::with_sink(JsonlSink::new(buf.clone()));
-    anneal_traced(
+    anneal(
         &problem,
-        |state| Ok(anneal_cost(&problem, state)),
-        |_| Ok(0.0),
+        |_| FnObjective::new(|state| Ok(anneal_cost(&problem, state)), |_| Ok(0.0)),
+        None,
         &AnnealConfig {
             iterations: 300,
             seed,
