@@ -4,7 +4,9 @@
 //! `snapshot/save` measures capture + serialize + crash-safe write
 //! (the atomic tmp-write/fsync/rename path every checkpoint takes);
 //! `snapshot/restore` measures parse + world reconstruction from the
-//! same payload.
+//! same payload. `snapshot/encode` measures serialization alone — no
+//! capture, no I/O — of the world stepped to the end of its horizon,
+//! where the savestate is largest.
 
 use icm_bench::{black_box, Bench};
 use icm_experiments::endurance::World;
@@ -43,6 +45,12 @@ fn main() {
             icm_manager::snapshot::WorldSnapshot::parse(black_box(&text)).expect("parses");
         World::restore(snapshot, &tracer).expect("restores")
     });
+
+    while !world.run.is_done(&world.config) {
+        world.step(&tracer).expect("steps");
+    }
+    let last = world.snapshot(&tracer, None, 0);
+    b.bench("snapshot/encode", || black_box(&last).to_text());
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -21,7 +21,7 @@
 
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// Writes `bytes` to `path` atomically: write a sibling temp file,
@@ -223,11 +223,19 @@ impl SnapshotStore {
     }
 
     /// Loads one specific generation, verifying framing and checksum.
+    /// Returns the buffer the file was read into, with the header line
+    /// drained off the front (no second allocation, but the payload is
+    /// moved down within the buffer).
     pub fn load(&self, generation: u64) -> Result<Vec<u8>, LoadError> {
-        let mut bytes = Vec::new();
-        File::open(self.path_of(generation))
-            .and_then(|mut f| f.read_to_end(&mut bytes))
-            .map_err(|e| LoadError::Io(e.to_string()))?;
+        let (mut bytes, payload_start) = self.read_verified(generation)?;
+        bytes.drain(..payload_start);
+        Ok(bytes)
+    }
+
+    /// Reads one generation and verifies its framing and checksum.
+    /// Returns the whole file and the offset its payload starts at.
+    fn read_verified(&self, generation: u64) -> Result<(Vec<u8>, usize), LoadError> {
+        let bytes = fs::read(self.path_of(generation)).map_err(|e| LoadError::Io(e.to_string()))?;
         let newline = bytes
             .iter()
             .position(|&b| b == b'\n')
@@ -264,7 +272,7 @@ impl SnapshotStore {
                 got: got_checksum,
             });
         }
-        Ok(payload.to_vec())
+        Ok((bytes, newline + 1))
     }
 
     /// Deletes old generations, keeping the newest `keep_last` plus —
@@ -289,7 +297,7 @@ impl SnapshotStore {
             .iter()
             .rev()
             .copied()
-            .find(|&generation| self.load(generation).is_ok());
+            .find(|&generation| self.read_verified(generation).is_ok());
         let cutoff = generations[generations.len() - keep_last];
         let mut removed = Vec::new();
         for &generation in &generations {

@@ -1,4 +1,7 @@
-//! Serialization of [`Json`] trees to text.
+//! Serialization of [`Json`] trees to text, and the number and string
+//! writers that [`crate::ToJson::write_json`] shares with them.
+
+use std::fmt::Write;
 
 use crate::Json;
 
@@ -80,35 +83,53 @@ fn push_indent(indent: usize, out: &mut String) {
 /// never produces locale-dependent output. Non-finite values (which
 /// [`crate::ToJson`] for `f64` should have mapped to null already)
 /// degrade to `null` rather than emitting invalid JSON.
-fn write_number(n: f64, out: &mut String) {
-    if n.is_finite() {
-        // JSON has no negative zero distinct from zero worth preserving,
-        // and `-0` would parse back as `0` anyway; normalize for
-        // byte-stable output across arithmetic that flips the sign bit.
-        let n = if n == 0.0 { 0.0 } else { n };
-        out.push_str(&format!("{n}"));
-    } else {
+///
+/// Integral values below 2^53 in magnitude print through `i64`'s
+/// `Display`, which gives the same digits as `f64`'s (`f64` never uses
+/// an exponent) for less work. Both paths format straight into `out`.
+pub(crate) fn write_number(n: f64, out: &mut String) {
+    if !n.is_finite() {
         out.push_str("null");
+    } else if n.fract() == 0.0 && n.abs() < EXACT_INT {
+        // JSON has no negative zero distinct from zero worth preserving,
+        // and `-0` would parse back as `0` anyway; the cast normalizes it
+        // for byte-stable output across arithmetic that flips the sign bit.
+        let _ = write!(out, "{}", n as i64);
+    } else {
+        let _ = write!(out, "{n}");
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// 2^53: every integer of smaller magnitude is exact in an `f64`.
+const EXACT_INT: f64 = 9_007_199_254_740_992.0;
+
+/// Writes a quoted string, escaping `"`, `\` and control characters.
+/// Runs of characters that need no escape are copied with one
+/// `push_str` each, so a string with nothing to escape costs one copy.
+pub(crate) fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut clean_from = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0x00..=0x1F) {
+            continue;
         }
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.push_str(&s[clean_from..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0C => out.push_str("\\f"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        clean_from = i + 1;
     }
+    out.push_str(&s[clean_from..]);
     out.push('"');
 }
 

@@ -37,6 +37,10 @@ impl ToJson for DetectionKind {
     fn to_json(&self) -> Json {
         Json::String(self.as_str().to_owned())
     }
+
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
+    }
 }
 
 impl FromJson for DetectionKind {
@@ -82,6 +86,10 @@ impl ActionKind {
 impl ToJson for ActionKind {
     fn to_json(&self) -> Json {
         Json::String(self.as_str().to_owned())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
     }
 }
 

@@ -15,7 +15,7 @@
 //! byte-identity contract covers the event trace, results, and final
 //! state, not mid-run telemetry rollups.
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 use icm_json::{FromJson, Json, JsonError, ToJson};
 use icm_obs::TracerState;
@@ -52,6 +52,16 @@ impl RngState {
 impl ToJson for RngState {
     fn to_json(&self) -> Json {
         Json::Array(self.0.iter().map(|w| Json::String(w.to_string())).collect())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        // Decimal digits never need escaping: quote them in place.
+        for (i, word) in self.0.iter().enumerate() {
+            out.push_str(if i == 0 { "[\"" } else { ",\"" });
+            let _ = write!(out, "{word}");
+            out.push('"');
+        }
+        out.push(']');
     }
 }
 

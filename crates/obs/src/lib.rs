@@ -60,7 +60,6 @@ use icm_json::{FromJson, Json, JsonError, ToJson};
 
 pub mod bucket;
 pub mod manager;
-mod metrics;
 pub mod provenance;
 mod reader;
 mod sink;
@@ -68,7 +67,6 @@ mod sketch;
 mod telemetry;
 mod wall;
 
-pub use metrics::{Histogram, Metrics};
 pub use provenance::{
     DetectionInput, ObservationRef, OutcomeRef, PlacementRef, ProvenanceRecord, QOS_VIOLATION,
 };
@@ -181,6 +179,16 @@ impl ToJson for Value {
             Value::Str(s) => Json::String(s.clone()),
         }
     }
+
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Value::Bool(b) => b.write_json(out),
+            Value::U64(v) => v.write_json(out),
+            Value::I64(v) => v.write_json(out),
+            Value::F64(v) => v.write_json(out),
+            Value::Str(s) => s.write_json(out),
+        }
+    }
 }
 
 impl FromJson for Value {
@@ -271,6 +279,23 @@ impl ToJson for Event {
             ),
         ));
         Json::Object(outer)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        let mut outer = icm_json::ObjectWriter::new(out);
+        outer
+            .field("step", &self.step)
+            .field("sim_s", &self.sim_s)
+            .field("name", &self.name);
+        if !self.causes.is_empty() {
+            outer.field("causes", &self.causes);
+        }
+        let mut fields = icm_json::ObjectWriter::new(outer.key("fields"));
+        for (k, v) in &self.fields {
+            fields.field(k, v);
+        }
+        fields.finish();
+        outer.finish();
     }
 }
 

@@ -255,7 +255,6 @@ impl ToJson for QuantileSketch {
 mod tests {
     use super::*;
     use crate::bucket::RELATIVE_ERROR;
-    use crate::Histogram;
     use icm_rng::Rng;
 
     fn seeded_stream(seed: u64, n: usize, scale: f64) -> Vec<f64> {
@@ -407,12 +406,13 @@ mod tests {
     }
 
     #[test]
-    fn sketch_agrees_with_histogram_overflow_buckets() {
-        // `Histogram::slowdown`'s top bound (4.0) is a power of two —
-        // a log-bucket lower edge — so "overflowed the histogram" and
+    fn sketch_agrees_with_fixed_bucket_overflow() {
+        // The top of these slowdown bounds (4.0) is a power of two — a
+        // log-bucket lower edge — so "overflowed the fixed buckets" and
         // "sketched strictly above 4.0" must count identical
         // observations.
-        let mut hist = Histogram::slowdown();
+        let bounds = [1.0, 1.05, 1.1, 1.2, 1.35, 1.5, 1.75, 2.0, 2.5, 3.0, 4.0];
+        let overflows = |v: f64| bucket::fixed_index(&bounds, &v) == bounds.len();
         let mut sketch = QuantileSketch::new();
         // Half-integer values: every one is a log-bucket *edge*, so no
         // observation straddles the 4.0 cut inside one bucket.
@@ -421,21 +421,16 @@ mod tests {
             .map(|_| (rng.next_u64() % 16 + 1) as f64 * 0.5)
             .collect();
         for &v in &values {
-            hist.observe(v);
             sketch.observe(v);
         }
-        let overflow = *hist.bucket_counts().last().expect("overflow bucket");
+        let overflow = values.iter().filter(|&&v| overflows(v)).count() as u64;
         assert!(overflow > 0, "stream must actually overflow");
         assert_eq!(sketch.count_above(4.0), overflow);
-        // NaN goes to the histogram's overflow bucket but is excluded
+        // NaN lands in the fixed scan's overflow bucket but is excluded
         // from the sketch's bucketed population — the interaction is
         // explicit, not accidental.
-        hist.observe(f64::NAN);
+        assert!(overflows(f64::NAN));
         sketch.observe(f64::NAN);
-        assert_eq!(
-            *hist.bucket_counts().last().expect("overflow bucket"),
-            overflow + 1
-        );
         assert_eq!(sketch.count_above(4.0), overflow);
         assert_eq!(sketch.non_finite_count(), 1);
     }

@@ -405,9 +405,19 @@ impl Telemetry {
         inner.health(inner.last_step, inner.last_sim_s)
     }
 
+    /// The artifact as compact JSON text plus trailing newline — what
+    /// `icm-experiments --telemetry FILE` writes.
+    pub fn to_text(&self) -> String {
+        let mut text = icm_json::to_string(self);
+        text.push('\n');
+        text
+    }
+}
+
+impl ToJson for Telemetry {
     /// The full telemetry artifact. Bounded: its serialized size stays
     /// under [`TELEMETRY_BYTE_BUDGET`] regardless of run length.
-    pub fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json {
         let inner = self.shared.borrow();
         Json::Object(vec![
             (
@@ -447,14 +457,6 @@ impl Telemetry {
                 Json::Array(inner.snapshots.iter().map(ToJson::to_json).collect()),
             ),
         ])
-    }
-
-    /// The artifact as compact JSON text plus trailing newline — what
-    /// `icm-experiments --telemetry FILE` writes.
-    pub fn to_text(&self) -> String {
-        let mut text = self.to_json().to_text();
-        text.push('\n');
-        text
     }
 }
 

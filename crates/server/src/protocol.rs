@@ -13,7 +13,7 @@
 //! reply, and therefore the committed-reply journal, byte-identical
 //! across same-seed replays (see `crate::clock`).
 
-use icm_json::Json;
+use icm_json::{Json, ObjectWriter};
 
 /// Upper bound on `place` iteration requests — a client cannot buy an
 /// unbounded amount of annealing with one line.
@@ -175,48 +175,41 @@ pub enum Reply {
 impl Reply {
     /// The wire line for this reply (no trailing newline).
     pub fn to_line(&self) -> String {
-        let value = match self {
+        let mut line = String::new();
+        let mut object = ObjectWriter::new(&mut line);
+        match self {
             Reply::Ok {
                 id,
                 degraded,
                 latency_us,
                 payload,
-            } => Json::object([
-                ("id", Json::String(id.clone())),
-                ("status", Json::String("ok".into())),
-                ("degraded", Json::Bool(*degraded)),
-                ("latency_us", Json::Number(*latency_us as f64)),
-                ("payload", payload.clone()),
-            ]),
-            Reply::Error { id, code, detail } => Json::object([
-                (
-                    "id",
-                    match id {
-                        Some(id) => Json::String(id.clone()),
-                        None => Json::Null,
-                    },
-                ),
-                ("status", Json::String("error".into())),
-                ("code", Json::String(code.as_str().into())),
-                ("detail", Json::String(detail.clone())),
-            ]),
+            } => object
+                .field("id", id)
+                .field("status", "ok")
+                .field("degraded", degraded)
+                .field("latency_us", latency_us)
+                .field("payload", payload),
+            Reply::Error { id, code, detail } => object
+                .field("id", id)
+                .field("status", "error")
+                .field("code", code.as_str())
+                .field("detail", detail),
             Reply::DeadlineExceeded {
                 id,
                 budget_us,
                 needed_us,
-            } => Json::object([
-                ("id", Json::String(id.clone())),
-                ("status", Json::String("deadline_exceeded".into())),
-                ("budget_us", Json::Number(*budget_us as f64)),
-                ("needed_us", Json::Number(*needed_us as f64)),
-            ]),
-            Reply::Overloaded { id, retry_after_us } => Json::object([
-                ("id", Json::String(id.clone())),
-                ("status", Json::String("overloaded".into())),
-                ("retry_after_us", Json::Number(*retry_after_us as f64)),
-            ]),
+            } => object
+                .field("id", id)
+                .field("status", "deadline_exceeded")
+                .field("budget_us", budget_us)
+                .field("needed_us", needed_us),
+            Reply::Overloaded { id, retry_after_us } => object
+                .field("id", id)
+                .field("status", "overloaded")
+                .field("retry_after_us", retry_after_us),
         };
-        icm_json::to_string(&value)
+        object.finish();
+        line
     }
 
     /// The request id this reply answers, when one was recoverable.

@@ -38,7 +38,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use icm_json::fs::SnapshotStore;
-use icm_json::{Json, JsonError};
+use icm_json::{Json, JsonError, ObjectWriter};
 use icm_manager::snapshot::{WorldSnapshot, WORLD_SNAPSHOT_VERSION};
 use icm_manager::{Fleet, FleetObjective, ManagedRun, ManagerConfig};
 use icm_obs::{QuantileSketch, Tracer};
@@ -170,20 +170,17 @@ impl ServerSnapshot {
 /// How an accepted frame is recorded in the intake log, so recovery can
 /// re-feed malformed frames as faithfully as clean ones.
 fn intake_record(frame: &Frame) -> String {
-    let value = match frame {
-        Frame::Line(line) => Json::object([
-            ("frame", Json::String("line".into())),
-            ("data", Json::String(line.clone())),
-        ]),
-        Frame::Oversized(bytes) => Json::object([
-            ("frame", Json::String("oversized".into())),
-            ("bytes", Json::Number(*bytes as f64)),
-        ]),
-        Frame::InvalidUtf8 => Json::object([("frame", Json::String("bad_utf8".into()))]),
-        Frame::Truncated => Json::object([("frame", Json::String("truncated".into()))]),
-        Frame::Eof => Json::object([("frame", Json::String("eof".into()))]),
+    let mut record = String::new();
+    let mut object = ObjectWriter::new(&mut record);
+    match frame {
+        Frame::Line(line) => object.field("frame", "line").field("data", line),
+        Frame::Oversized(bytes) => object.field("frame", "oversized").field("bytes", bytes),
+        Frame::InvalidUtf8 => object.field("frame", "bad_utf8"),
+        Frame::Truncated => object.field("frame", "truncated"),
+        Frame::Eof => object.field("frame", "eof"),
     };
-    icm_json::to_string(&value)
+    object.finish();
+    record
 }
 
 fn parse_intake_record(line: &str) -> Result<Frame, ServerError> {

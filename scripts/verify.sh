@@ -12,6 +12,10 @@ cargo test -q --workspace --offline
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo fmt --check
 
+# Layer-bench smoke: the savestate encode bench must run to completion,
+# so a bench that panics fails the gate. Its timing is not checked.
+cargo bench -p icm-bench --bench snapshot --offline -- snapshot/encode
+
 # Report-pipeline smoke: two same-seed traced mini-runs must diff clean,
 # summarize as JSON, and render into a non-empty self-contained report.
 SMOKE="$(mktemp -d)"

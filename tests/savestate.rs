@@ -14,7 +14,7 @@ use std::process::Command;
 
 use icm::experiments::endurance;
 use icm::experiments::ExpConfig;
-use icm::json::fs::SnapshotStore;
+use icm::json::fs::{fnv1a64, SnapshotStore};
 use icm_manager::snapshot::WorldSnapshot;
 use icm_obs::{JsonlSink, Tracer};
 
@@ -220,4 +220,37 @@ fn damaged_generations_fall_back_to_the_previous_good_snapshot() {
     }
 
     let _ = std::fs::remove_dir_all(&base);
+}
+
+/// The fast endurance world's savestate text, pinned by byte length and
+/// FNV-1a 64 checksum at tick 0 (fresh world), tick 3 and the last tick
+/// of the horizon. The values were recorded with the tree-building
+/// encoder that `write_json` replaced; the streaming encoder must write
+/// the same bytes.
+#[test]
+fn savestate_text_is_pinned_at_three_ticks() {
+    const PINNED: [(u64, usize, u64); 3] = [
+        (0, 13738, 0x9d5e_61ea_030f_a3fd),
+        (3, 14311, 0x68af_6ba0_9b50_7f01),
+        (8, 19466, 0x1aea_6dbb_cf1d_5cab),
+    ];
+    let tracer = Tracer::disabled();
+    let mut world = endurance::World::new(&fast_cfg(), &tracer).expect("world builds");
+    for (tick, len, checksum) in PINNED {
+        while world.run.next_tick() <= tick {
+            world.step(&tracer).expect("steps");
+        }
+        let text = world.snapshot(&tracer, None, 0).to_text();
+        assert_eq!(
+            (text.len(), fnv1a64(text.as_bytes())),
+            (len, checksum),
+            "savestate at tick {tick}: got ({}, {:#018x})",
+            text.len(),
+            fnv1a64(text.as_bytes())
+        );
+    }
+    assert!(
+        world.run.is_done(&world.config),
+        "tick 8 ends the fast horizon"
+    );
 }
