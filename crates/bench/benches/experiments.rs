@@ -3,7 +3,9 @@
 //! hours).
 //!
 //! `e2e/suite_fast` renders all 32 ids the way `icm-experiments all
-//! --fast` does, running each study once for all its views;
+//! --fast` does, running each study once for all its views, the
+//! studies concurrently (`e2e/suite_fast (serial)` in `BENCH_icm.json`
+//! is the figure from before they ran concurrently);
 //! `e2e/suite_fast/per_id` renders them with one `Experiment::run_full`
 //! per id, which runs a study again for every view of it.
 

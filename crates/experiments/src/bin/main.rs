@@ -9,7 +9,9 @@
 //!
 //! Adjacent ids that view one study (`fig12 table6 fig13`, say) render
 //! from one run of it, and `all` lists each study's views together, so
-//! it runs every study once.
+//! it runs every study once. Studies run concurrently on helper threads
+//! and render in selection order, so every output is the bytes a serial
+//! run writes (see `for_each_view`).
 //!
 //! `--trace FILE` appends one JSONL event per progress message (plus an
 //! `experiment` span per run) for `icm-trace`; `--quiet` silences the
@@ -20,7 +22,9 @@
 //! `all` writes `results.json` by default. `--profile FILE` dumps
 //! per-span wall-time histograms — a side channel that never enters the
 //! deterministic trace, so traces stay byte-identical whether or not
-//! profiling is on.
+//! profiling is on. An `experiment` span's wall time counts the wait for
+//! its study: for a study run on a helper thread that is the part of its
+//! compute not yet done when its turn came, not the compute itself.
 //!
 //! `--telemetry FILE` folds the event stream into constant-memory
 //! aggregates (windowed rollups, quantile sketches, health snapshots —
@@ -40,7 +44,7 @@
 use std::process::ExitCode;
 
 use icm_experiments::results::ResultsDoc;
-use icm_experiments::{endurance, study_runs, ExpConfig, Experiment, Study};
+use icm_experiments::{endurance, for_each_view, ExpConfig, Experiment};
 use icm_json::fs::atomic_write;
 use icm_obs::{JsonlSink, Telemetry, TelemetryConfig, TelemetrySink, Tracer, Value};
 
@@ -348,96 +352,75 @@ fn main() -> ExitCode {
     };
 
     let mut results = ResultsDoc::new(cfg.seed, cfg.fast);
-    // Each run of adjacent ids that view one study runs the study once;
-    // its result is dropped after the run's last view.
-    for run in study_runs(&selected) {
-        let mut study: Option<Study> = None;
-        for &exp in run {
-            if !quiet {
-                eprintln!(
-                    "[icm] running {} (seed {}, fast {})",
-                    exp.id(),
-                    cfg.seed,
-                    cfg.fast
-                );
-            }
-            if savestate {
-                // Savestate mode skips the per-experiment span: a resumed
-                // run cannot close a span the killed process opened, and
-                // the kill/resume trace must be the byte-exact suffix of
-                // an uninterrupted savestate run.
-                let checkpoint = checkpoint_dir.as_deref().zip(checkpoint_every);
-                match endurance::drive(
-                    &cfg,
-                    &tracer,
-                    resume_snapshot.take(),
-                    checkpoint,
-                    kill_after,
-                    trace_path.as_deref(),
-                ) {
-                    Ok(result) => {
-                        use icm_json::ToJson;
-                        println!("{}", endurance::render(&result));
-                        results.push(exp.id(), result.to_json());
-                    }
-                    Err(err) => {
-                        eprintln!("{}: {err}", exp.id());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            } else {
-                let span = tracer.span(
-                    "experiment",
-                    &[
-                        ("id", exp.id().into()),
-                        ("seed", cfg.seed.into()),
-                        ("fast", cfg.fast.into()),
-                    ],
-                );
-                if study.is_none() {
-                    match exp.run_study(&cfg, &tracer) {
-                        Ok(ran) => study = Some(ran),
-                        Err(err) => {
-                            eprintln!("{}: {err}", exp.id());
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-                let (text, data) = study
-                    .as_ref()
-                    .and_then(|ran| ran.view(exp))
-                    .expect("a run views one study");
-                span.end_with(&[("id", exp.id().into())]);
-                println!("{text}");
-                results.push(exp.id(), data);
-            }
-            if let Some(dir) = &json_dir {
-                if let Err(err) = std::fs::create_dir_all(dir) {
-                    eprintln!("cannot create {}: {err}", dir.display());
-                    return ExitCode::FAILURE;
-                }
-                let path = dir.join(format!("{}.json", exp.id()));
-                let Some(data) = results.get(exp.id()) else {
-                    eprintln!("{}: result vanished from the results document", exp.id());
-                    return ExitCode::FAILURE;
-                };
-                let text = icm_json::to_string_pretty(data);
-                match atomic_write(&path, text.as_bytes()) {
-                    Ok(()) => reporter.say(
-                        "json_export",
-                        &[
-                            ("id", exp.id().into()),
-                            ("path", path.display().to_string().into()),
-                        ],
-                        format!("wrote {}", path.display()),
-                    ),
-                    Err(err) => {
-                        eprintln!("{}: JSON export failed: {err}", exp.id());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
+    // Each run of adjacent ids that view one study runs the study once,
+    // concurrently with the other studies; views render in selection
+    // order and a study's result is dropped after its run's last view.
+    let outcome: Result<(), String> = for_each_view(&selected, &cfg, &tracer, |exp, slot| {
+        if !quiet {
+            eprintln!(
+                "[icm] running {} (seed {}, fast {})",
+                exp.id(),
+                cfg.seed,
+                cfg.fast
+            );
         }
+        if savestate {
+            // Savestate mode skips the per-experiment span: a resumed
+            // run cannot close a span the killed process opened, and
+            // the kill/resume trace must be the byte-exact suffix of
+            // an uninterrupted savestate run.
+            let checkpoint = checkpoint_dir.as_deref().zip(checkpoint_every);
+            let result = endurance::drive(
+                &cfg,
+                &tracer,
+                resume_snapshot.take(),
+                checkpoint,
+                kill_after,
+                trace_path.as_deref(),
+            )
+            .map_err(|err| format!("{}: {err}", exp.id()))?;
+            use icm_json::ToJson;
+            println!("{}", endurance::render(&result));
+            results.push(exp.id(), result.to_json());
+        } else {
+            let span = tracer.span(
+                "experiment",
+                &[
+                    ("id", exp.id().into()),
+                    ("seed", cfg.seed.into()),
+                    ("fast", cfg.fast.into()),
+                ],
+            );
+            let study = slot.study().map_err(|err| format!("{}: {err}", exp.id()))?;
+            let (text, data) = study.view(exp).expect("a run views one study");
+            span.end_with(&[("id", exp.id().into())]);
+            println!("{text}");
+            results.push(exp.id(), data);
+        }
+        if let Some(dir) = &json_dir {
+            std::fs::create_dir_all(dir)
+                .map_err(|err| format!("cannot create {}: {err}", dir.display()))?;
+            let path = dir.join(format!("{}.json", exp.id()));
+            let data = results.get(exp.id()).ok_or_else(|| {
+                format!("{}: result vanished from the results document", exp.id())
+            })?;
+            let text = icm_json::to_string_pretty(data);
+            atomic_write(&path, text.as_bytes())
+                .map_err(|err| format!("{}: JSON export failed: {err}", exp.id()))?;
+            reporter.say(
+                "json_export",
+                &[
+                    ("id", exp.id().into()),
+                    ("path", path.display().to_string().into()),
+                ],
+                format!("wrote {}", path.display()),
+            );
+        }
+        Ok(())
+    });
+    if let Err(message) = outcome {
+        eprintln!("{message}");
+        return ExitCode::FAILURE;
     }
 
     if let Some(path) = &results_path {

@@ -11,6 +11,8 @@
 //! once ([`Experiment::run_study`]) and each view renders from its
 //! result ([`Study::view`]); the binary and [`run_views`] run a study
 //! once per run of adjacent selected views, so `all` runs each once.
+//! They run the studies concurrently and render in selection order
+//! ([`for_each_view`]), so what they output is what a serial run does.
 //!
 //! ```text
 //! cargo run -p icm-experiments --release -- fig2
@@ -70,6 +72,11 @@ pub mod trace;
 pub mod tracediff;
 
 pub use context::{ExpConfig, ExpError};
+
+use std::collections::VecDeque;
+use std::num::NonZeroUsize;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use icm_json::{Json, ToJson};
 use icm_obs::Tracer;
@@ -401,33 +408,365 @@ pub fn study_runs(selected: &[Experiment]) -> impl Iterator<Item = &[Experiment]
     selected.chunk_by(|a, b| a.lead() == b.lead())
 }
 
-/// Renders `selected` in order, as `icm-experiments <id>...` does: each
-/// of its [`study_runs`] runs its study once, renders every view from
-/// that result and drops it after the last one. Returns each id with
-/// its text table and JSON result, equal to what
-/// [`Experiment::run_full`] gives for that id alone.
+/// Whether a study writes into the caller's tracer (see
+/// [`Experiment::run_study`]). Such a study runs on the calling thread
+/// at its turn, so the trace stays in selection order.
+fn traces_into_caller(lead: Experiment) -> bool {
+    matches!(lead, Experiment::Recovery | Experiment::Endurance)
+}
+
+/// How a study runs: [`Experiment::run_study`] in use, a stand-in in
+/// the scheduler's tests.
+type RunStudy<'a> = &'a (dyn Fn(Experiment, &Tracer) -> Result<Study, ExpError> + Sync);
+
+/// A study run a helper thread owes the caller: its first view and the
+/// channel its result goes back on.
+type Job = (Experiment, Sender<Result<Study, ExpError>>);
+
+/// Walks `selected` in order and calls `visit` once per id, with the
+/// [`StudySlot`] of the id's run in [`study_runs`]. Returns the first
+/// error `visit` returns, after which no further study starts.
+///
+/// Studies run concurrently: helper threads, one per available core
+/// up to the number of studies they can take, run every study of a
+/// multi-study selection in selection order with a disabled tracer,
+/// while `visit` renders in order on the calling thread, each view
+/// waiting for its study. The studies that trace into `tracer`
+/// (`recovery`, `endurance`) run on the calling thread when
+/// [`StudySlot::study`] asks for them, so the trace reads as a serial
+/// run's. Helpers start at the first [`StudySlot::study`] call, so
+/// whatever `visit` prints first is not held up by them. A study that
+/// panics on a helper panics the caller when its slot is asked for it.
 ///
 /// # Errors
 ///
-/// Propagates the first failing study's error.
+/// Propagates `visit`'s first error.
+pub fn for_each_view<E>(
+    selected: &[Experiment],
+    cfg: &ExpConfig,
+    tracer: &Tracer,
+    visit: impl FnMut(Experiment, &mut StudySlot<'_>) -> Result<(), E>,
+) -> Result<(), E> {
+    let run = |exp: Experiment, tracer: &Tracer| exp.run_study(cfg, tracer);
+    schedule(selected, &run, tracer, cores, visit)
+}
+
+/// The machine's core count, the most helper threads worth starting.
+/// Asked only when helpers start: it reads the cgroup files, which
+/// takes long enough to delay the first progress line.
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+}
+
+/// [`for_each_view`] with at most `max_helpers()` (at least 1) helper
+/// threads, running each study with `run`.
+fn schedule<E>(
+    selected: &[Experiment],
+    run: RunStudy<'_>,
+    tracer: &Tracer,
+    max_helpers: fn() -> usize,
+    mut visit: impl FnMut(Experiment, &mut StudySlot<'_>) -> Result<(), E>,
+) -> Result<(), E> {
+    let runs: Vec<&[Experiment]> = study_runs(selected).collect();
+    let mut jobs = VecDeque::new();
+    let receivers: Vec<Option<Receiver<_>>> = runs
+        .iter()
+        .map(|views| {
+            let helped = runs.len() > 1 && !traces_into_caller(views[0].lead());
+            helped.then(|| {
+                let (sender, receiver) = mpsc::channel();
+                jobs.push_back((views[0], sender));
+                receiver
+            })
+        })
+        .collect();
+    let mut unstarted = jobs.len();
+    let queue = Mutex::new(jobs);
+    let queue = &queue;
+    std::thread::scope(|scope| {
+        // On an early return or a panic, helpers finish the study in
+        // hand and take no more.
+        let _drain = Drain(queue);
+        let mut start_helpers = || {
+            if unstarted == 0 {
+                return;
+            }
+            for _ in 0..max_helpers().min(std::mem::take(&mut unstarted)) {
+                scope.spawn(move || loop {
+                    // Claim in a statement of its own: a `while let`
+                    // would hold the lock through the study.
+                    let Some((exp, sender)) = lock(queue).pop_front() else {
+                        break;
+                    };
+                    // The caller may have returned already.
+                    let _ = sender.send(run(exp, &Tracer::disabled()));
+                });
+            }
+        };
+        for (views, from_helper) in runs.iter().zip(receivers) {
+            let mut slot = StudySlot {
+                lead: views[0],
+                run,
+                tracer,
+                from_helper,
+                ran: None,
+                start_helpers: &mut start_helpers,
+            };
+            for &exp in *views {
+                visit(exp, &mut slot)?;
+            }
+        }
+        Ok(())
+    })
+}
+
+/// Locks the helpers' queue. A poisoned lock is taken over: each
+/// update (`pop_front`, `clear`) leaves the queue whole.
+fn lock(queue: &Mutex<VecDeque<Job>>) -> MutexGuard<'_, VecDeque<Job>> {
+    queue.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Empties the helpers' queue when dropped.
+struct Drain<'a>(&'a Mutex<VecDeque<Job>>);
+
+impl Drop for Drain<'_> {
+    fn drop(&mut self) {
+        lock(self.0).clear();
+    }
+}
+
+/// The study one run of adjacent views renders from, handed to
+/// [`for_each_view`]'s `visit`. It is dropped after the run's last
+/// view.
+pub struct StudySlot<'a> {
+    lead: Experiment,
+    run: RunStudy<'a>,
+    tracer: &'a Tracer,
+    from_helper: Option<Receiver<Result<Study, ExpError>>>,
+    ran: Option<Result<Study, ExpError>>,
+    start_helpers: &'a mut dyn FnMut(),
+}
+
+impl StudySlot<'_> {
+    /// The run's study: on the first call, waits for the helper that
+    /// runs it, or runs it here with the caller's tracer.
+    ///
+    /// # Errors
+    ///
+    /// The study's failure, on every call.
+    ///
+    /// # Panics
+    ///
+    /// If the study panicked on a helper thread.
+    pub fn study(&mut self) -> Result<&Study, ExpError> {
+        if self.ran.is_none() {
+            (self.start_helpers)();
+            self.ran = Some(match self.from_helper.take() {
+                Some(receiver) => receiver.recv().unwrap_or_else(|_| {
+                    panic!("study `{}` panicked on a helper thread", self.lead.id())
+                }),
+                None => (self.run)(self.lead, self.tracer),
+            });
+        }
+        match self.ran.as_ref().expect("the study ran above") {
+            Ok(study) => Ok(study),
+            Err(err) => Err(err.clone()),
+        }
+    }
+}
+
+/// Renders `selected` in order, as `icm-experiments <id>...` does: each
+/// of its [`study_runs`] runs its study once, concurrently with the
+/// others ([`for_each_view`]), renders every view from that result and
+/// drops it after the last one. Returns each id with its text table and
+/// JSON result, equal to what [`Experiment::run_full`] gives for that
+/// id alone.
+///
+/// # Errors
+///
+/// Propagates the first failing study's error, in selection order.
 pub fn run_views(
     selected: &[Experiment],
     cfg: &ExpConfig,
 ) -> Result<Vec<(Experiment, String, Json)>, ExpError> {
+    views_with(selected, cfg, cores)
+}
+
+/// [`run_views`] with at most `max_helpers()` helper threads.
+fn views_with(
+    selected: &[Experiment],
+    cfg: &ExpConfig,
+    max_helpers: fn() -> usize,
+) -> Result<Vec<(Experiment, String, Json)>, ExpError> {
     let mut views = Vec::with_capacity(selected.len());
-    for run in study_runs(selected) {
-        let study = run[0].run_study(cfg, &Tracer::disabled())?;
-        for &exp in run {
-            let (text, json) = study.view(exp).expect("a run views one study");
+    let run = |exp: Experiment, tracer: &Tracer| exp.run_study(cfg, tracer);
+    schedule(
+        selected,
+        &run,
+        &Tracer::disabled(),
+        max_helpers,
+        |exp, slot| {
+            let (text, json) = slot.study()?.view(exp).expect("a run views one study");
             views.push((exp, text, json));
-        }
-    }
-    Ok(views)
+            Ok(())
+        },
+    )
+    .map(|()| views)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::thread::ThreadId;
+
+    // A study's result and error cross from a helper to the caller.
+    const _: fn() = || {
+        fn send<T: Send>() {}
+        send::<Study>();
+        send::<ExpError>();
+    };
+
+    type Views = Vec<(Experiment, String, Json)>;
+
+    /// The serial loop the scheduler replaced: each study run in turn
+    /// on the calling thread.
+    fn serial_views(selected: &[Experiment], cfg: &ExpConfig) -> Result<Views, ExpError> {
+        let mut views = Vec::new();
+        for run in study_runs(selected) {
+            let study = run[0].run_study(cfg, &Tracer::disabled())?;
+            for &exp in run {
+                let (text, json) = study.view(exp).expect("a run views one study");
+                views.push((exp, text, json));
+            }
+        }
+        Ok(views)
+    }
+
+    fn as_bytes(views: &Views) -> Vec<(&'static str, &str, String)> {
+        views
+            .iter()
+            .map(|(exp, text, json)| (exp.id(), text.as_str(), json.to_text()))
+            .collect()
+    }
+
+    #[test]
+    fn concurrent_studies_render_what_the_serial_loop_does() {
+        use Experiment::{Fig12, Fig13, Fig2, Fig9, Table6};
+        let cfg = ExpConfig {
+            seed: 2016,
+            fast: true,
+        };
+        let out_of_order = [Fig13, Fig2, Fig12, Table6, Fig9, Fig13];
+        for selected in [&Experiment::ALL[..], &out_of_order] {
+            let serial = serial_views(selected, &cfg).expect("runs");
+            for helpers in [|| 1, || 3] {
+                let concurrent = views_with(selected, &cfg, helpers).expect("runs");
+                assert_eq!(
+                    as_bytes(&concurrent),
+                    as_bytes(&serial),
+                    "{} helpers on {} ids",
+                    helpers(),
+                    selected.len()
+                );
+            }
+        }
+    }
+
+    /// A stand-in study: the id as its table.
+    fn stand_in(exp: Experiment) -> Result<Study, ExpError> {
+        Ok(Study::Single(exp, exp.id().to_owned(), Json::Null))
+    }
+
+    /// Runs `selected` with `run` on 3 helpers; returns the ids visited
+    /// and the outcome.
+    fn visit_all(
+        selected: &[Experiment],
+        run: RunStudy<'_>,
+    ) -> (Vec<Experiment>, Result<(), ExpError>) {
+        let mut visited = Vec::new();
+        let outcome = schedule(
+            selected,
+            run,
+            &Tracer::disabled(),
+            || 3,
+            |exp, slot| {
+                visited.push(exp);
+                slot.study().map(|_| ())
+            },
+        );
+        (visited, outcome)
+    }
+
+    #[test]
+    fn the_first_failure_in_selection_order_is_reported() {
+        use Experiment::{Fig10, Fig2, Fig3, Table4};
+        // `fig2` fails only once `fig3` has: first in selection order,
+        // last in time.
+        let (fig3_failed, fig2_waits) = mpsc::channel();
+        let fig2_waits = Mutex::new(fig2_waits);
+        let run = |exp: Experiment, _: &Tracer| match exp {
+            Fig2 => {
+                fig2_waits.lock().unwrap().recv().unwrap();
+                Err(ExpError::new("fig2 broke"))
+            }
+            Fig3 => {
+                fig3_failed.send(()).unwrap();
+                Err(ExpError::new("fig3 broke"))
+            }
+            _ => stand_in(exp),
+        };
+        let (visited, outcome) = visit_all(&[Table4, Fig2, Fig3, Fig10], &run);
+        assert_eq!(outcome, Err(ExpError::new("fig2 broke")));
+        assert_eq!(visited, [Table4, Fig2]);
+    }
+
+    #[test]
+    fn a_panicking_study_panics_the_caller() {
+        use Experiment::{Fig10, Fig2, Fig3};
+        let run = |exp: Experiment, _: &Tracer| match exp {
+            Fig3 => panic!("fig3 panicked"),
+            _ => stand_in(exp),
+        };
+        let ran = catch_unwind(AssertUnwindSafe(|| visit_all(&[Fig2, Fig3, Fig10], &run)));
+        assert!(ran.is_err(), "the panic surfaced");
+    }
+
+    #[test]
+    fn tracing_studies_and_lone_studies_run_on_the_calling_thread() {
+        use Experiment::{Endurance, Fig12, Fig13, Fig2, Fork, Recovery};
+        let threads: Mutex<Vec<(Experiment, ThreadId)>> = Mutex::new(Vec::new());
+        // `fig2` finishes only once `fork` has, so the order the views
+        // render in comes from the caller, not from completion.
+        let (fork_done, fig2_waits) = mpsc::channel();
+        let fig2_waits = Mutex::new(fig2_waits);
+        let run = |exp: Experiment, _: &Tracer| {
+            threads
+                .lock()
+                .unwrap()
+                .push((exp, std::thread::current().id()));
+            match exp {
+                Fig2 => fig2_waits.lock().unwrap().recv().unwrap(),
+                Fork => fork_done.send(()).unwrap(),
+                _ => {}
+            }
+            stand_in(exp)
+        };
+        let caller = std::thread::current().id();
+        let selected = [Fig2, Recovery, Fig12, Fig13, Endurance, Fork];
+        let (visited, outcome) = visit_all(&selected, &run);
+        outcome.expect("runs");
+        assert_eq!(visited, selected);
+        for (exp, thread) in threads.lock().unwrap().drain(..) {
+            let on_caller = matches!(exp, Recovery | Endurance);
+            assert_eq!(thread == caller, on_caller, "{}", exp.id());
+        }
+
+        let (_, outcome) = visit_all(&[Fig12, Fig13], &run);
+        outcome.expect("runs");
+        assert_eq!(*threads.lock().unwrap(), [(Fig12, caller)]);
+    }
 
     #[test]
     fn ids_round_trip() {

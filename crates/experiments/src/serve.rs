@@ -185,8 +185,13 @@ fn build_script(seed: u64, rounds: u64, queue_capacity: usize) -> Vec<ScriptFram
     frames
 }
 
+/// A fresh state directory, keyed by thread as well as process: one
+/// process may run this study on several threads at once.
 fn scratch_dir(tag: &str, seed: u64) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("icm-serve-{tag}-{seed}-{}", std::process::id()));
+    let thread = format!("{:?}", std::thread::current().id());
+    let thread: String = thread.chars().filter(char::is_ascii_digit).collect();
+    let name = format!("icm-serve-{tag}-{seed}-{}-{thread}", std::process::id());
+    let dir = std::env::temp_dir().join(name);
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

@@ -24,9 +24,8 @@
 //!   lose no acknowledged reply — recovery re-executes the intake
 //!   suffix and proves the regenerated replies byte-identical.
 //!
-//! All scheduling runs on a deterministic virtual clock; wall time is
-//! observed into a side-channel sketch and never put on the wire, so
-//! same-seed runs commit byte-identical journals.
+//! All scheduling runs on a deterministic virtual clock and no wall
+//! time is read, so same-seed runs commit byte-identical journals.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

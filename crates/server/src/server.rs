@@ -9,9 +9,8 @@
 //! microseconds. Arrivals carry explicit virtual stamps (`at_ms`), and
 //! each operation is charged a fixed deterministic cost. Two runs fed
 //! the same frames therefore make byte-identical decisions and emit
-//! byte-identical replies, no matter how the OS schedules them; wall
-//! time is measured separately into a [`QuantileSketch`] side channel
-//! that never touches a reply. This is the manager's determinism
+//! byte-identical replies, no matter how the OS schedules them: the
+//! server never reads a wall clock. This is the manager's determinism
 //! contract extended to traffic.
 //!
 //! # Crash safety
@@ -35,13 +34,12 @@
 
 use std::collections::VecDeque;
 use std::path::Path;
-use std::time::Instant;
 
 use icm_json::fs::SnapshotStore;
 use icm_json::{Json, JsonError, ObjectWriter};
 use icm_manager::snapshot::{WorldSnapshot, WORLD_SNAPSHOT_VERSION};
 use icm_manager::{Fleet, FleetObjective, ManagedRun, ManagerConfig};
-use icm_obs::{QuantileSketch, Tracer};
+use icm_obs::Tracer;
 use icm_placement::{anneal, AnnealConfig};
 use icm_simcluster::SimTestbed;
 
@@ -235,7 +233,6 @@ pub struct Server {
     verify: VecDeque<JournalEntry>,
     replaying: bool,
     commits_since_checkpoint: u64,
-    wall_ns: QuantileSketch,
     committed_total: u64,
     /// Intake entries the current state reflects (consumed frames).
     intake_pos: u64,
@@ -315,7 +312,6 @@ impl Server {
                     verify: VecDeque::new(),
                     replaying: false,
                     commits_since_checkpoint: 0,
-                    wall_ns: QuantileSketch::new(),
                     intake_pos: snapshot.intake_seq,
                 }
             }
@@ -342,7 +338,6 @@ impl Server {
                     verify: VecDeque::new(),
                     replaying: false,
                     commits_since_checkpoint: 0,
-                    wall_ns: QuantileSketch::new(),
                     intake_pos: 0,
                 }
             }
@@ -419,12 +414,6 @@ impl Server {
         self.shutting_down
     }
 
-    /// Wall-clock per-frame handling latency (nanoseconds), the side
-    /// channel kept out of every reply.
-    pub fn wall_latency_ns(&self) -> &QuantileSketch {
-        &self.wall_ns
-    }
-
     /// Handles one frame, returning the reply lines released by it —
     /// its own reply when served immediately, typed refusals, and any
     /// replies for queued requests whose virtual service completed
@@ -435,10 +424,7 @@ impl Server {
     /// Only daemon-stopping trouble (persistence I/O, integrity);
     /// malformed frames and invalid requests produce typed replies.
     pub fn handle_frame(&mut self, frame: &Frame) -> Result<Vec<String>, ServerError> {
-        let begin = Instant::now();
-        let out = self.ingest(frame);
-        self.wall_ns.observe(begin.elapsed().as_nanos() as f64);
-        out
+        self.ingest(frame)
     }
 
     /// Drains every pending request (end of input or explicit flush)

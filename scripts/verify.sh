@@ -48,6 +48,31 @@ cmp "$SMOKE/shared.txt" "$SMOKE/single.txt" \
     || { echo "verify: shared-study tables diverged from single-id runs" >&2; exit 1; }
 echo "verify: shared-study smoke OK"
 
+# Scheduling-determinism smoke: studies run concurrently on helper
+# threads and render in selection order, so two same-seed runs of the
+# fast suite must match byte for byte — results document, stdout, trace
+# and every per-id JSON export. A result that depends on thread timing
+# fails here. Each run writes under its own directory by the same
+# relative paths, because the trace records the export paths.
+EXPERIMENTS="$PWD/target/release/icm-experiments"
+for run in a b; do
+    mkdir "$SMOKE/sched-$run"
+    (cd "$SMOKE/sched-$run" && "$EXPERIMENTS" all --fast --quiet \
+        --trace trace.jsonl --results results.json --json json > stdout.txt)
+done
+for file in results.json stdout.txt trace.jsonl; do
+    cmp "$SMOKE/sched-a/$file" "$SMOKE/sched-b/$file" \
+        || { echo "verify: same-seed suite runs diverged in $file" >&2; exit 1; }
+done
+EXPORTS=$(ls "$SMOKE/sched-a/json" | wc -l)
+test "$EXPORTS" -eq 32 \
+    || { echo "verify: the suite exported $EXPORTS of 32 ids" >&2; exit 1; }
+for file in "$SMOKE"/sched-a/json/*.json; do
+    cmp "$file" "$SMOKE/sched-b/json/${file##*/}" \
+        || { echo "verify: same-seed exports of ${file##*/} diverged" >&2; exit 1; }
+done
+echo "verify: scheduling-determinism smoke OK"
+
 # Fault-injection smoke: the robustness sweep injects probe failures,
 # stragglers and corrupted measurements — two same-seed faulty runs must
 # still write byte-identical traces, and the sweep must render under the
